@@ -37,8 +37,8 @@ from .utility_builder import (
     build_true_utility,
     build_utility_from_miss_curve,
     convexify_grid,
+    convexify_utilities,
     extra_capacity_for,
-    sample_utility_grid,
 )
 
 __all__ = [
@@ -88,6 +88,6 @@ __all__ = [
     "build_true_utility",
     "build_utility_from_miss_curve",
     "convexify_grid",
-    "sample_utility_grid",
+    "convexify_utilities",
     "extra_capacity_for",
 ]

@@ -20,12 +20,18 @@ import numpy as np
 from ..core.mechanisms import AllocationProblem
 from ..exceptions import MarketConfigurationError
 from ..utility.base import UtilityFunction
+from ..utility.tabular import GridUtility2D
 from .application import AppProfile
 from .config import CMPConfig
-from .core_model import CoreModel, OperatingPoint
+from .core_model import CoreModel, OperatingPoint, resolve_frequency_axes
 from .dram import DRAMModel
 from .power import RAPL_QUANTUM_WATTS, DVFSPowerModel
-from .utility_builder import build_true_utility, extra_capacity_for
+from .utility_builder import (
+    POWER_GRID_POINTS,
+    build_true_utility,
+    convexify_utilities,
+    extra_capacity_for,
+)
 
 __all__ = ["ChipModel"]
 
@@ -54,10 +60,12 @@ class ChipModel:
             )
         self.config = config
         self.apps: List[AppProfile] = list(apps)
-        power_model = DVFSPowerModel(core=config.core)
+        #: One DVFS model for every core (the simulator resolves all
+        #: cores' frequencies with it in one call per epoch).
+        self.power_model = DVFSPowerModel(core=config.core)
         dram = DRAMModel(channels=config.memory_channels)
         self.cores: List[CoreModel] = [
-            CoreModel(app, config, power_model=power_model, dram=dram) for app in apps
+            CoreModel(app, config, power_model=self.power_model, dram=dram) for app in apps
         ]
         self.free = _FreeMinimums(
             cache_bytes=float(config.cache_region_bytes),
@@ -97,10 +105,7 @@ class ChipModel:
         if self.extra_power_capacity <= 0:
             raise MarketConfigurationError("power budget below the free minimums")
         if utilities is None:
-            utilities = [
-                build_true_utility(core, self.config, convexify=convexify)
-                for core in self.cores
-            ]
+            utilities = self.true_core_utilities(convexify)
         caps = np.array(
             [extra_capacity_for(core, self.config) for core in self.cores]
         )
@@ -114,6 +119,19 @@ class ChipModel:
             ),
             per_player_caps=caps,
         )
+
+    def true_core_utilities(self, convexify: bool = True) -> List[GridUtility2D]:
+        """Every core's phase-1 utility, hulled chip-wide in one stacked call.
+
+        Equal to :func:`build_true_utility` core by core: the frequency
+        axes are resolved in one bisection and the sampled grids share
+        one :func:`convexify_utilities` call.
+        """
+        resolve_frequency_axes(self.cores, POWER_GRID_POINTS)
+        utilities = [
+            build_true_utility(core, self.config, convexify=False) for core in self.cores
+        ]
+        return convexify_utilities(utilities) if convexify else utilities
 
     # ------------------------------------------------------------------
     # Turning market allocations back into physical operating points

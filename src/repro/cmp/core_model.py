@@ -20,13 +20,16 @@ physically meaningful quantity under DVFS).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, Sequence
+
+import numpy as np
 
 from .application import AppProfile
 from .config import CMPConfig
 from .dram import DRAMModel
 from .power import DVFSPowerModel
 
-__all__ = ["CoreModel", "OperatingPoint"]
+__all__ = ["CoreModel", "OperatingPoint", "resolve_frequency_axes"]
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,9 @@ class CoreModel:
         self._alone_gips = self.performance_gips(
             self.config.umon_max_bytes, self.config.core.max_frequency_ghz
         )
+        # power_points -> frequencies over extra_power_axis(power_points);
+        # see resolve_frequency_axes for why caching is sound.
+        self._frequency_axes: Dict[int, np.ndarray] = {}
 
     @property
     def memory_latency_ns(self) -> float:
@@ -137,6 +143,18 @@ class CoreModel:
         """Highest frequency sustainable within ``watts``."""
         return self.power_model.frequency_for_power(watts, self.app.activity, temperature_c)
 
+    def extra_power_axis(self, power_points: int) -> np.ndarray:
+        """Extra watts sampled uniformly from 0 to the 4 GHz draw."""
+        return np.linspace(0.0, self.max_power_watts() - self.min_power_watts(), power_points)
+
+    def frequency_axis(self, power_points: int) -> np.ndarray:
+        """Frequencies sustained at ``min_power_watts() + extra_power_axis``.
+
+        Cached per ``power_points``: it is the reference-temperature
+        inversion, which never changes for this core.
+        """
+        return resolve_frequency_axes([self], power_points)[0]
+
     def operating_point(
         self,
         cache_bytes: float,
@@ -153,3 +171,28 @@ class CoreModel:
             power_watts=self.power_watts(frequency, temperature_c),
             utility=gips / self._alone_gips,
         )
+
+
+def resolve_frequency_axes(cores: Sequence[CoreModel], power_points: int) -> np.ndarray:
+    """``(G, power_points)`` frequency axes of ``cores``, cached per core.
+
+    Every core not yet cached is resolved in one array bisection per
+    power model.  An axis depends only on the core's power model, its
+    application's activity and ``power_points`` — all fixed for a
+    :class:`CoreModel`'s lifetime (a context switch builds a new one) —
+    and it is the inversion at the reference temperature, so it is the
+    same in every epoch.  Calls that pass a temperature go through
+    :meth:`CoreModel.frequency_for_power` and are never cached.
+    """
+    missing: Dict[DVFSPowerModel, list] = {}
+    for core in cores:
+        if power_points not in core._frequency_axes:
+            missing.setdefault(core.power_model, []).append(core)
+    for model, group in missing.items():
+        watts = np.array(
+            [core.min_power_watts() + core.extra_power_axis(power_points) for core in group]
+        )
+        activity = np.array([[core.app.activity] for core in group])
+        for core, axis in zip(group, model.frequency_for_power(watts, activity)):
+            core._frequency_axes[power_points] = axis
+    return np.array([core._frequency_axes[power_points] for core in cores])

@@ -26,7 +26,7 @@ from ..exceptions import MarketConfigurationError
 from ..utility.base import UtilityFunction
 from .chip import ChipModel
 from .power import RAPL_QUANTUM_WATTS
-from .utility_builder import build_true_utility, extra_capacity_for
+from .utility_builder import extra_capacity_for
 
 __all__ = ["GroupUtility", "build_grouped_problem", "expand_group_allocation"]
 
@@ -76,14 +76,13 @@ def build_grouped_problem(
     if sorted(set(groups)) != list(range(num_groups)):
         raise MarketConfigurationError("group ids must be contiguous from 0")
 
+    core_utilities = chip.true_core_utilities(convexify)
     member_utilities: List[List[UtilityFunction]] = [[] for _ in range(num_groups)]
     member_caps: List[List[np.ndarray]] = [[] for _ in range(num_groups)]
     member_names: List[List[str]] = [[] for _ in range(num_groups)]
     for i, core in enumerate(chip.cores):
         g = groups[i]
-        member_utilities[g].append(
-            build_true_utility(core, chip.config, convexify=convexify)
-        )
+        member_utilities[g].append(core_utilities[i])
         member_caps[g].append(np.array(extra_capacity_for(core, chip.config)))
         member_names[g].append(core.app.name)
 

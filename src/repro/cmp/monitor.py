@@ -15,17 +15,21 @@ phase-1 vs phase-2 difference of Section 6.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..utility.tabular import GridUtility2D
 from .config import CMPConfig
-from .core_model import CoreModel
+from .core_model import CoreModel, resolve_frequency_axes
 from .umon import UMONShadowTags
-from .utility_builder import build_utility_from_miss_curve
+from .utility_builder import (
+    POWER_GRID_POINTS,
+    build_utility_from_miss_curve,
+    convexify_utilities,
+)
 
-__all__ = ["MAX_EPOCH_ACCESSES", "RuntimeMonitor"]
+__all__ = ["MAX_EPOCH_ACCESSES", "RuntimeMonitor", "estimated_utilities"]
 
 #: Cap on sampled accesses fed to the shadow tags per epoch; real UMON
 #: sees the full stream, but the histogram converges long before this.
@@ -117,11 +121,27 @@ class RuntimeMonitor:
 
     def estimated_utility(self) -> GridUtility2D:
         """The concave utility the market should bid with this epoch."""
-        if self._utility_cache is None:
-            self._utility_cache = build_utility_from_miss_curve(
-                self.core,
-                self.config,
-                self.miss_curve,
-                cpi_estimate=self._cpi_estimate,
+        return estimated_utilities([self])[0]
+
+
+def estimated_utilities(monitors: Sequence[RuntimeMonitor]) -> List[GridUtility2D]:
+    """Every monitor's estimated utility, rebuilt chip-wide where stale.
+
+    The monitors observed since their last build resolve their cores'
+    frequency axes in one bisection, sample their raw grids from the
+    current miss-curve and CPI estimates, and share one stacked Talus
+    hull; each result fills its monitor's cache until the next
+    :meth:`RuntimeMonitor.observe_epoch`.
+    """
+    stale = [m for m in monitors if m._utility_cache is None]
+    if stale:
+        resolve_frequency_axes([m.core for m in stale], POWER_GRID_POINTS)
+        raw = [
+            build_utility_from_miss_curve(
+                m.core, m.config, m.miss_curve, cpi_estimate=m.cpi_estimate, convexify=False
             )
-        return self._utility_cache
+            for m in stale
+        ]
+        for monitor, utility in zip(stale, convexify_utilities(raw)):
+            monitor._utility_cache = utility
+    return [m._utility_cache for m in monitors]

@@ -16,7 +16,10 @@ provides the inverse mapping ``frequency_for_power``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import CoreConfig
 
@@ -69,13 +72,8 @@ class DVFSPowerModel:
 
     def static_power(self, frequency_ghz: float, temperature_c: float | None = None) -> float:
         """Voltage- and temperature-dependent leakage in watts."""
-        if temperature_c is None:
-            temperature_c = self.reference_temperature_c
         v = self.voltage(frequency_ghz)
-        scale = _exp_clamped(
-            (temperature_c - self.reference_temperature_c) / self.leakage_temp_slope_k
-        )
-        return self.leakage_coefficient * v * scale
+        return self.leakage_coefficient * v * self._leakage_scale(temperature_c)
 
     def total_power(
         self,
@@ -84,8 +82,10 @@ class DVFSPowerModel:
         temperature_c: float | None = None,
     ) -> float:
         """Dynamic plus static power at an operating point."""
-        return self.dynamic_power(frequency_ghz, activity) + self.static_power(
-            frequency_ghz, temperature_c
+        return self._power_in_envelope(
+            self._clamp_frequency(frequency_ghz),
+            activity,
+            self._leakage_scale(temperature_c),
         )
 
     def min_power(self, activity: float = 1.0, temperature_c: float | None = None) -> float:
@@ -98,37 +98,89 @@ class DVFSPowerModel:
 
     def frequency_for_power(
         self,
-        watts: float,
-        activity: float = 1.0,
-        temperature_c: float | None = None,
-    ) -> float:
+        watts: float | np.ndarray,
+        activity: float | np.ndarray = 1.0,
+        temperature_c: float | np.ndarray | None = None,
+    ) -> float | np.ndarray:
         """Highest sustainable frequency within a power cap (inverse model).
 
         Total power is strictly increasing in frequency, so a bisection
         on the envelope suffices.  Caps below the minimum-frequency power
         return the minimum frequency (the free allocation guarantees it);
         caps above the 4 GHz power return 4 GHz.
+
+        ``watts``, ``activity`` and ``temperature_c`` broadcast against
+        each other (``temperature_c=None`` is the reference temperature)
+        and every element runs the same 60-step bisection on
+        :meth:`total_power`'s arithmetic that a lone scalar call runs,
+        so an array call equals the elementwise scalar calls bit for
+        bit.  All-scalar inputs run the loop on Python floats and return
+        a float.  The leakage scale goes through ``math.exp`` element by
+        element: ``np.exp`` differs from it in the last bit for some
+        arguments.
         """
-        lo = self.core.min_frequency_ghz
-        hi = self.core.max_frequency_ghz
-        if watts <= self.total_power(lo, activity, temperature_c):
-            return lo
-        if watts >= self.total_power(hi, activity, temperature_c):
-            return hi
+        lo_f = self.core.min_frequency_ghz
+        hi_f = self.core.max_frequency_ghz
+        scale = self._leakage_scale(temperature_c)
+        if np.ndim(watts) == 0 and np.ndim(activity) == 0 and np.ndim(scale) == 0:
+            watts, activity, scale = float(watts), float(activity), float(scale)
+            select = _select
+        else:
+            watts, activity, scale = np.broadcast_arrays(
+                np.asarray(watts, dtype=float), np.asarray(activity, dtype=float), scale
+            )
+            select = np.where
+        lo, hi = lo_f, hi_f
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if self.total_power(mid, activity, temperature_c) <= watts:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+            fits = self._power_in_envelope(mid, activity, scale) <= watts
+            lo, hi = select(fits, mid, lo), select(fits, hi, mid)
+        return select(
+            watts <= self._power_in_envelope(lo_f, activity, scale),
+            lo_f,
+            select(watts >= self._power_in_envelope(hi_f, activity, scale), hi_f, lo),
+        )
+
+    def _power_in_envelope(
+        self,
+        frequency_ghz: float | np.ndarray,
+        activity: float | np.ndarray,
+        leakage_scale: float | np.ndarray,
+    ) -> float | np.ndarray:
+        """Total power of frequencies inside the envelope, arrays welcome.
+
+        ``activity * C_eff * V^2 * f`` plus ``leakage * V * scale``: the
+        one power formula, shared by :meth:`total_power` and the
+        bisection so both do the same operations in the same order.
+        """
+        span = self.core.max_frequency_ghz - self.core.min_frequency_ghz
+        t = (frequency_ghz - self.core.min_frequency_ghz) / span
+        v = self.core.min_voltage + t * (self.core.max_voltage - self.core.min_voltage)
+        dynamic = activity * self.effective_capacitance * v * v * frequency_ghz
+        return dynamic + self.leakage_coefficient * v * leakage_scale
+
+    def _leakage_scale(self, temperature_c: float | np.ndarray | None) -> float | np.ndarray:
+        """Leakage multiplier per temperature, one ``math.exp`` per element."""
+        if temperature_c is None:
+            temperature_c = self.reference_temperature_c
+        if np.ndim(temperature_c) == 0:
+            return _exp_clamped(
+                (temperature_c - self.reference_temperature_c) / self.leakage_temp_slope_k
+            )
+        exponent = (
+            np.asarray(temperature_c, dtype=float) - self.reference_temperature_c
+        ) / self.leakage_temp_slope_k
+        return np.array([_exp_clamped(x) for x in exponent.ravel()]).reshape(exponent.shape)
 
     def _clamp_frequency(self, frequency_ghz: float) -> float:
         return min(max(frequency_ghz, self.core.min_frequency_ghz), self.core.max_frequency_ghz)
 
 
+def _select(condition: bool, if_true: float, if_false: float) -> float:
+    """``np.where`` for one Python scalar."""
+    return if_true if condition else if_false
+
+
 def _exp_clamped(x: float) -> float:
     """``exp(x)`` with the argument clamped to keep thermals numerically sane."""
-    import math
-
     return math.exp(min(max(x, -20.0), 20.0))

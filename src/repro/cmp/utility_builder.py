@@ -14,23 +14,29 @@ runtime-monitored estimate of one — into a concave, continuous
 The convexification passes are iterated until the grid is concave along
 both axes, mirroring the paper's "derive the convex hull of cache and
 power" step in Section 6.
+
+Whole-chip call sites (the chip, core groups, the monitors and the
+simulator) resolve every core's frequency axis in one bisection
+(:func:`~repro.cmp.core_model.resolve_frequency_axes`), sample each
+core's raw grid (``convexify=False``) and hull all of them with one
+stacked :func:`convexify_utilities` call.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..utility.convex_hull import upper_convex_hull
+from ..utility.convex_hull import upper_hull_values
 from ..utility.tabular import GridUtility2D
 from .config import CMPConfig
 from .core_model import CoreModel
 
 __all__ = [
     "POWER_GRID_POINTS",
-    "sample_utility_grid",
     "convexify_grid",
+    "convexify_utilities",
     "build_true_utility",
     "build_utility_from_miss_curve",
     "extra_capacity_for",
@@ -51,26 +57,11 @@ def extra_capacity_for(core: CoreModel, config: CMPConfig) -> tuple:
     return cache_cap, power_cap
 
 
-def sample_utility_grid(
-    value_at: Callable[[float, float], float],
-    cache_cap_bytes: float,
-    power_cap_watts: float,
-    region_bytes: int,
-    power_points: int = POWER_GRID_POINTS,
-) -> tuple:
-    """Sample ``value_at(extra_cache, extra_power)`` on the standard grid.
-
-    Cache is sampled at whole-region boundaries from 0 to the cap;
-    power uniformly from 0 to the cap.
-    """
-    num_regions = int(round(cache_cap_bytes / region_bytes))
-    cache_axis = np.arange(num_regions + 1, dtype=float) * region_bytes
-    power_axis = np.linspace(0.0, power_cap_watts, power_points)
-    values = np.empty((cache_axis.size, power_axis.size))
-    for i, c in enumerate(cache_axis):
-        for j, p in enumerate(power_axis):
-            values[i, j] = value_at(c, p)
-    return cache_axis, power_axis, values
+def _cache_axis(config: CMPConfig) -> np.ndarray:
+    """Extra cache sampled at whole-region boundaries, 0 to the cap."""
+    region = config.cache_region_bytes
+    cache_cap = float(config.umon_max_bytes - region)
+    return np.arange(int(round(cache_cap / region)) + 1, dtype=float) * region
 
 
 def convexify_grid(
@@ -79,26 +70,61 @@ def convexify_grid(
     values: np.ndarray,
     max_passes: int = 6,
 ) -> np.ndarray:
-    """Hull the grid along both axes until concave along each.
+    """Hull the grid(s) along both axes until concave along each.
 
-    Each pass replaces every cache column (power fixed) and every power
-    row (cache fixed) with its upper convex hull evaluated back on the
-    grid.  Hulling can only raise values, and values are bounded by the
-    global maximum, so the iteration converges; in practice two passes
-    suffice.
+    ``values`` is one ``(nx, ny)`` grid over ``power_axis`` ``(ny,)``, or
+    a stack of ``G`` grids ``(G, nx, ny)`` with per-grid power axes
+    ``(G, ny)``; ``cache_axis`` ``(nx,)`` is shared.  Each pass replaces
+    every cache column (power fixed) and then every power row (cache
+    fixed) with its upper convex hull evaluated back on the grid — the
+    columns and rows of every grid in one lockstep hull each.  Hulling
+    can only raise values, and values are bounded by the global maximum,
+    so the iteration converges; in practice two passes suffice.  Each
+    grid stops after the first pass that moves none of its values by
+    more than 1e-12, so a grid's result does not depend on the grids
+    stacked with it.
     """
-    out = values.copy()
+    cache_axis = np.asarray(cache_axis, dtype=float)
+    single = np.ndim(values) == 2
+    out = np.array(values, dtype=float, ndmin=3)
+    num_grids, nx, ny = out.shape
+    power_axes = np.broadcast_to(np.asarray(power_axis, dtype=float), (num_grids, ny))
+    if np.any(np.diff(cache_axis) <= 0) or np.any(np.diff(power_axes, axis=1) <= 0):
+        raise ValueError("grid axes must be strictly increasing")
+    live = np.arange(num_grids)
     for _ in range(max_passes):
-        before = out.copy()
-        for j in range(power_axis.size):
-            hx, hy = upper_convex_hull(cache_axis, out[:, j])
-            out[:, j] = np.interp(cache_axis, hx, hy)
-        for i in range(cache_axis.size):
-            hx, hy = upper_convex_hull(power_axis, out[i, :])
-            out[i, :] = np.interp(power_axis, hx, hy)
-        if np.allclose(before, out, rtol=0.0, atol=1e-12):
+        before = out[live]
+        columns = before.transpose(0, 2, 1).reshape(-1, nx)
+        grids = upper_hull_values(cache_axis, columns).reshape(-1, ny, nx)
+        rows = grids.transpose(0, 2, 1).reshape(-1, ny)
+        row_axes = np.repeat(power_axes[live], nx, axis=0)
+        grids = upper_hull_values(row_axes, rows).reshape(-1, nx, ny)
+        out[live] = grids
+        settled = np.isclose(before, grids, rtol=0.0, atol=1e-12).all(axis=(1, 2))
+        live = live[~settled]
+        if live.size == 0:
             break
-    return out
+    return out[0] if single else out
+
+
+def convexify_utilities(grids: Sequence[GridUtility2D]) -> List[GridUtility2D]:
+    """Talus-convexify sampled grid utilities with one stacked hull call.
+
+    The grids must share their cache axis (every core of one chip does);
+    their power axes may differ.  Equal to calling
+    :func:`convexify_grid` on each grid alone.
+    """
+    if not grids:
+        return []
+    cache_axis = grids[0].xs
+    if any(not np.array_equal(g.xs, cache_axis) for g in grids):
+        raise ValueError("stacked grids must share the cache axis")
+    hulled = convexify_grid(
+        cache_axis,
+        np.stack([g.ys for g in grids]),
+        np.stack([g.values for g in grids]),
+    )
+    return [GridUtility2D(g.xs, g.ys, v) for g, v in zip(grids, hulled)]
 
 
 def build_true_utility(
@@ -113,23 +139,15 @@ def build_true_utility(
     the Talus-style convexification, producing the concave continuous
     utility over extras that the theory requires.
 
-    The grid is evaluated in vectorized form: frequencies are resolved
-    once per power-axis point and the compute/memory decomposition is
-    separable, so the (cache x power) surface is an outer combination of
-    two 1-D arrays.
+    The grid is evaluated in vectorized form: the frequencies come from
+    the core's cached frequency axis and the compute/memory
+    decomposition is separable, so the (cache x power) surface is an
+    outer combination of two 1-D arrays.
     """
-    cache_cap, power_cap = extra_capacity_for(core, config)
     min_cache = float(config.cache_region_bytes)
-    min_power = core.min_power_watts()
-    region = config.cache_region_bytes
-
-    num_regions = int(round(cache_cap / region))
-    cache_axis = np.arange(num_regions + 1, dtype=float) * region
-    power_axis = np.linspace(0.0, power_cap, power_points)
-
-    frequencies = np.array(
-        [core.frequency_for_power(min_power + p) for p in power_axis]
-    )
+    cache_axis = _cache_axis(config)
+    power_axis = core.extra_power_axis(power_points)
+    frequencies = core.frequency_axis(power_points)
     monitor_cap = float(config.umon_max_bytes)
     memory_ns = np.array(
         [
@@ -164,24 +182,18 @@ def build_utility_from_miss_curve(
     estimates them with Isci-style counters, whose error is small
     relative to MRC sampling noise).
     """
-    cache_cap, power_cap = extra_capacity_for(core, config)
-    min_power = core.min_power_watts()
     cpi = core.app.cpi_exe if cpi_estimate is None else cpi_estimate
     apki = core.app.apki
     latency = core.memory_latency_ns
     region = config.cache_region_bytes
     max_regions = miss_curve.size
-
-    num_regions = int(round(cache_cap / region))
-    cache_axis = np.arange(num_regions + 1, dtype=float) * region
-    power_axis = np.linspace(0.0, power_cap, power_points)
+    cache_axis = _cache_axis(config)
+    power_axis = core.extra_power_axis(power_points)
 
     region_indices = np.clip((region + cache_axis) / region, 1.0, float(max_regions))
     miss = np.interp(region_indices, np.arange(1, max_regions + 1), miss_curve)
     memory_ns = apki / 1000.0 * miss * latency
-    frequencies = np.array(
-        [core.frequency_for_power(min_power + p) for p in power_axis]
-    )
+    frequencies = core.frequency_axis(power_points)
     compute_ns = cpi / frequencies
     values = 1.0 / (compute_ns[None, :] + memory_ns[:, None])
 

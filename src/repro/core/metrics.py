@@ -38,13 +38,16 @@ def efficiency(utilities: Sequence[float]) -> float:
 def envy_matrix(
     utilities: Sequence[UtilityFunction], allocations: np.ndarray
 ) -> np.ndarray:
-    """``E[i, j] = U_i(r_j)``: what player i's utility would be with j's bundle."""
+    """``E[i, j] = U_i(r_j)``: what player i's utility would be with j's bundle.
+
+    Row ``i`` is one ``utilities[i].value_batch`` call over every bundle,
+    which equals ``value`` point by point.
+    """
     allocations = np.asarray(allocations, dtype=float)
     n = allocations.shape[0]
     matrix = np.empty((n, n))
     for i, utility in enumerate(utilities):
-        for j in range(n):
-            matrix[i, j] = utility.value(allocations[j])
+        matrix[i] = utility.value_batch(allocations)
     return matrix
 
 
@@ -59,21 +62,17 @@ def envy_freeness(
     degenerate values: if a player values some other bundle positively
     but its own at zero, the ratio is 0; pairs where the other bundle is
     valued at zero impose no constraint (nobody envies a worthless
-    bundle).
+    bundle).  A NaN valuation is not worthless: it reaches the minimum
+    and makes EF NaN, so a broken allocation never scores as fair.
     """
     matrix = envy_matrix(utilities, allocations)
-    own = np.diag(matrix).copy()
-    n = matrix.shape[0]
-    worst = 1.0  # the i == j pairs contribute exactly 1
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            other = matrix[i, j]
-            if other <= 0.0:
-                continue
-            worst = min(worst, own[i] / other)
-    return float(worst)
+    own = np.diag(matrix)
+    # Off-diagonal pairs constrain unless the other bundle is worth <= 0
+    # (NaN is not <= 0); a NaN own utility poisons its i == j pair.
+    binding = ~(matrix <= 0.0)
+    np.fill_diagonal(binding, np.isnan(own))
+    rows, cols = np.nonzero(binding)
+    return float(np.min(own[rows] / matrix[rows, cols], initial=1.0))
 
 
 def price_of_anarchy(equilibrium_efficiency: float, optimal_efficiency: float) -> float:

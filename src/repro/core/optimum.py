@@ -47,7 +47,7 @@ class _LatticeValueCache:
     ~20x redundancy on a 64-player problem.  Caching by integer lattice
     coordinates turns those revisits into dict hits while returning the
     exact same floats, so the optimum is bitwise unchanged.  Off-lattice
-    queries (the optional SLSQP polish) fall through uncached.
+    queries fall through uncached.
     """
 
     __slots__ = ("_utility", "_quanta", "_cache")
@@ -74,7 +74,6 @@ def max_efficiency_allocation(
     capacities: Sequence[float],
     quanta: Sequence[float],
     per_player_caps: Optional[np.ndarray] = None,
-    polish: bool = False,
 ) -> GreedyOptimum:
     """Greedily maximize ``sum_i U_i(r_i)`` subject to capacity limits.
 
@@ -181,76 +180,10 @@ def max_efficiency_allocation(
             utilities, allocations, current, quanta, per_player_caps
         )
 
-    if polish:
-        # Optional gradient-based polish (SLSQP on the continuous
-        # relaxation, started from the greedy point and an equal split);
-        # the better solution is kept.  Off by default: the exchange
-        # passes already dominate the market on the paper's 2-resource
-        # problems, and under strong 3-way complementarity the landscape
-        # is not jointly concave, so local continuous search stalls in
-        # the same basins the exchanges do.
-        polished = _slsqp_polish(utilities, allocations, capacities, per_player_caps)
-        if polished is not None:
-            allocations = polished
-
     final_utilities = np.array(
         [utilities[i].value(allocations[i]) for i in range(num_players)]
     )
     return GreedyOptimum(allocations=allocations, utilities=final_utilities, steps=steps)
-
-
-def _slsqp_polish(
-    utilities: Sequence[UtilityFunction],
-    allocations: np.ndarray,
-    capacities: np.ndarray,
-    per_player_caps: Optional[np.ndarray],
-) -> Optional[np.ndarray]:
-    """Continuous polish of the greedy solution; None if unavailable/worse."""
-    try:
-        from scipy.optimize import LinearConstraint, minimize
-    except ImportError:  # pragma: no cover - scipy is an optional polish
-        return None
-
-    num_players, num_resources = allocations.shape
-
-    def objective(x: np.ndarray) -> float:
-        r = x.reshape(num_players, num_resources)
-        return -sum(utilities[i].value(r[i]) for i in range(num_players))
-
-    # One linear constraint per resource: allocations sum to capacity.
-    coefficient_rows = np.zeros((num_resources, allocations.size))
-    for j in range(num_resources):
-        coefficient_rows[j, j::num_resources] = 1.0
-    constraint = LinearConstraint(coefficient_rows, 0.0, capacities)
-
-    if per_player_caps is not None:
-        upper = per_player_caps.reshape(-1)
-    else:
-        upper = np.tile(capacities, num_players)
-    bounds = [(0.0, float(u)) for u in upper]
-
-    starts = [allocations.reshape(-1)]
-    equal = np.tile(capacities / num_players, num_players)
-    starts.append(np.minimum(equal, upper))
-    best = allocations
-    best_value = -objective(allocations.reshape(-1))
-    for start in starts:
-        result = minimize(
-            objective,
-            start,
-            method="SLSQP",
-            bounds=bounds,
-            constraints=[constraint],
-            options={"maxiter": 200, "ftol": 1e-9},
-        )
-        if result.success or result.status in (4, 8):
-            candidate = result.x.reshape(num_players, num_resources)
-            candidate = np.clip(candidate, 0.0, None)
-            value = -objective(candidate.reshape(-1))
-            if value > best_value + 1e-12:
-                best = candidate
-                best_value = value
-    return best
 
 
 def _exchange_refinement(

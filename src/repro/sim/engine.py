@@ -32,10 +32,16 @@ import numpy as np
 from ..cmp.chip import ChipModel
 from ..cmp.config import CMPConfig
 from ..cmp.futility import FutilityScalingController
-from ..cmp.monitor import RuntimeMonitor
+from ..cmp.core_model import resolve_frequency_axes
+from ..cmp.monitor import RuntimeMonitor, estimated_utilities
 from ..cmp.talus import TalusController
 from ..cmp.thermal import ThermalModel
-from ..cmp.utility_builder import build_true_utility
+from ..cmp.utility_builder import (
+    POWER_GRID_POINTS,
+    build_true_utility,
+    convexify_utilities,
+    extra_capacity_for,
+)
 from ..core.mechanisms import AllocationMechanism, AllocationProblem
 from ..core.metrics import envy_freeness
 from .phases import PhaseTracker
@@ -228,6 +234,7 @@ class ExecutionDrivenSimulator:
         thermal = ThermalModel(n)
         dram = self._cores[0].dram
         dram_latency = dram.uncontended_latency_ns()
+        power_model = self.chip.power_model
 
         region = float(chip_cfg.cache_region_bytes)
         extras = self._equal_share_extras()
@@ -271,16 +278,30 @@ class ExecutionDrivenSimulator:
             occupancy = futility.step(targets, access_rates)
 
             # (3) DVFS: resolve purchased watts into frequency at the
-            # current temperature (leakage rises with heat).
+            # current temperature (leakage rises with heat), all cores in
+            # one bisection.
             temps = thermal.temperatures_c if cfg.thermal else [None] * n
-            frequencies = np.empty(n)
-            powers = np.empty(n)
-            for i, core in enumerate(self._cores):
-                activity = core.app.activity * states[i].activity_scale
-                budget_w = core.min_power_watts(temps[i]) + extras[i, 1]
-                f = core.power_model.frequency_for_power(budget_w, activity, temps[i])
-                frequencies[i] = f
-                powers[i] = core.power_model.total_power(f, activity, temps[i])
+            activities = np.array(
+                [
+                    core.app.activity * states[i].activity_scale
+                    for i, core in enumerate(self._cores)
+                ]
+            )
+            budgets_w = np.array(
+                [
+                    core.min_power_watts(temps[i]) + extras[i, 1]
+                    for i, core in enumerate(self._cores)
+                ]
+            )
+            frequencies = power_model.frequency_for_power(
+                budgets_w, activities, temps if cfg.thermal else None
+            )
+            powers = np.array(
+                [
+                    power_model.total_power(frequencies[i], activities[i], temps[i])
+                    for i in range(n)
+                ]
+            )
 
             # (4) Execution: retire instructions at the *actual* points,
             # with Talus delivering the hull-effective miss rate at the
@@ -371,22 +392,35 @@ class ExecutionDrivenSimulator:
     def _warmup(self, monitors, extras, dram_latency) -> None:
         if not self.config.use_monitors:
             return
+        budgets_w = np.array(
+            [core.min_power_watts() + extras[i, 1] for i, core in enumerate(self._cores)]
+        )
+        frequencies = self.chip.power_model.frequency_for_power(
+            budgets_w, np.array([core.app.activity for core in self._cores])
+        )
         for i, core in enumerate(self._cores):
-            f = core.frequency_for_power(core.min_power_watts() + extras[i, 1])
             perf = core.performance_gips(
-                self.chip.free.cache_bytes + extras[i, 0], f, latency_ns=dram_latency
+                self.chip.free.cache_bytes + extras[i, 0],
+                frequencies[i],
+                latency_ns=dram_latency,
             )
             monitors[i].observe_epoch(perf * self.config.epoch_ms * 1e6)
 
-    def _build_problem(self, monitors) -> AllocationProblem:
-        from ..cmp.utility_builder import extra_capacity_for
-
-        if self.config.use_monitors:
-            utilities = [m.estimated_utility() for m in monitors]
-        else:
-            utilities = [
-                build_true_utility(core, self.chip.config) for core in self._cores
+    def _true_utilities(self) -> list:
+        """The resident applications' phase-1 utilities, hulled chip-wide."""
+        resolve_frequency_axes(self._cores, POWER_GRID_POINTS)
+        return convexify_utilities(
+            [
+                build_true_utility(core, self.chip.config, convexify=False)
+                for core in self._cores
             ]
+        )
+
+    def _build_problem(self, monitors) -> AllocationProblem:
+        if self.config.use_monitors:
+            utilities = estimated_utilities(monitors)
+        else:
+            utilities = self._true_utilities()
         caps = np.array(
             [extra_capacity_for(core, self.chip.config) for core in self._cores]
         )
@@ -412,7 +446,4 @@ class ExecutionDrivenSimulator:
         With context switches the scoring uses the applications resident
         at the end of the run.
         """
-        true_utilities = [
-            build_true_utility(core, self.chip.config) for core in self._cores
-        ]
-        return envy_freeness(true_utilities, mean_extras)
+        return envy_freeness(self._true_utilities(), mean_extras)

@@ -11,7 +11,10 @@ achievable utility exactly the linear interpolation between the PoIs.
 
 The hull of a set of ``(x, y)`` samples is computed with a monotone-chain
 scan, keeping the points whose incremental slopes are strictly
-decreasing.
+decreasing.  The scan runs over many curves in lockstep
+(:func:`upper_hull_mask`), which is how the chip-wide Talus step hulls
+every row and column of every core's grid in one pass; a single curve
+is the one-row case.
 """
 
 from __future__ import annotations
@@ -20,7 +23,13 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["upper_convex_hull", "hull_interpolate", "PiecewiseLinearConcave"]
+__all__ = [
+    "upper_convex_hull",
+    "upper_hull_mask",
+    "upper_hull_values",
+    "hull_interpolate",
+    "PiecewiseLinearConcave",
+]
 
 
 def upper_convex_hull(
@@ -41,27 +50,113 @@ def upper_convex_hull(
         raise ValueError("need at least one sample")
     if np.any(np.diff(xs) <= 0):
         raise ValueError("xs must be strictly increasing")
-    if xs.size == 1:
-        return xs.copy(), ys.copy()
-
-    # Monotone chain over points sorted by x: keep a stack whose
-    # consecutive slopes are non-increasing (concave chain from above).
-    stack: list[int] = []
-    for k in range(xs.size):
-        while len(stack) >= 2 and _turns_up(xs, ys, stack[-2], stack[-1], k):
-            stack.pop()
-        stack.append(k)
-    idx = np.array(stack)
-    return xs[idx], ys[idx]
+    keep = upper_hull_mask(xs, ys[None, :])[0]
+    return xs[keep], ys[keep]
 
 
-def _turns_up(xs: np.ndarray, ys: np.ndarray, a: int, b: int, c: int) -> bool:
-    """True if point ``b`` lies (weakly) below the chord ``a -> c``.
+def upper_hull_mask(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Hull-vertex mask of many sampled curves, built in lockstep.
 
-    In that case ``b`` is not a hull vertex of the *upper* hull.
+    ``ys`` is ``(L, n)``: ``L`` curves of ``n`` samples each.  ``xs`` is
+    the shared ``(n,)`` axis or a per-curve ``(L, n)`` one, strictly
+    increasing along its last axis (not checked here).  Returns the
+    ``(L, n)`` boolean mask of each curve's upper-hull vertices.
+
+    This is the monotone chain over points sorted by x: a stack whose
+    consecutive slopes are non-increasing.  All curves take sample ``k``
+    together; each then pops while its top vertex ``b`` lies (weakly)
+    below the chord from the vertex ``a`` beneath it to ``k`` —
+    ``(xb - xa) * (yk - ya) - (yb - ya) * (xk - xa) >= 0`` — until no
+    curve pops.  Every curve makes exactly the comparisons a one-curve
+    chain would, so its mask does not depend on which curves share the
+    call.  A curve whose consecutive triples all turn down never pops,
+    and those triples are the very tests its chain would make, so such
+    curves skip the chain.
     """
-    cross = (xs[b] - xs[a]) * (ys[c] - ys[a]) - (ys[b] - ys[a]) * (xs[c] - xs[a])
-    return cross >= 0.0
+    ys = np.asarray(ys, dtype=float)
+    num_curves, n = ys.shape
+    xs = np.broadcast_to(np.asarray(xs, dtype=float), ys.shape)
+    keep = np.ones((num_curves, n), dtype=bool)
+    if n < 3:
+        return keep
+    xa, xb, xk = xs[:, :-2], xs[:, 1:-1], xs[:, 2:]
+    ya, yb, yk = ys[:, :-2], ys[:, 1:-1], ys[:, 2:]
+    turns_up = (xb - xa) * (yk - ya) - (yb - ya) * (xk - xa) >= 0.0
+    bent = np.flatnonzero(turns_up.any(axis=1))
+    if bent.size == 0:
+        return keep
+    # Chain the bent curves on flat arrays: ``below[v]`` is the flat
+    # index of the vertex under ``v`` on its curve's stack (-1: bottom).
+    flat_x = np.ascontiguousarray(xs[bent]).ravel()
+    flat_y = np.ascontiguousarray(ys[bent]).ravel()
+    first = np.arange(bent.size) * n
+    below = np.empty(flat_x.size, dtype=np.intp)
+    below[first] = -1
+    top = first.copy()
+    for k in range(1, n):
+        at = first + k
+        x_k, y_k = flat_x[at], flat_y[at]
+        popping = np.flatnonzero(below[top] >= 0)
+        while popping.size:
+            b = top[popping]
+            a = below[b]
+            x_a, y_a = flat_x[a], flat_y[a]
+            cross = (flat_x[b] - x_a) * (y_k[popping] - y_a) - (flat_y[b] - y_a) * (
+                x_k[popping] - x_a
+            )
+            pops = cross >= 0.0
+            popping = popping[pops]
+            top[popping] = a[pops]
+            popping = popping[below[top[popping]] >= 0]
+        below[at] = top
+        top = at
+    on_stack = np.zeros(flat_x.size, dtype=bool)
+    while top.size:
+        on_stack[top] = True
+        top = below[top]
+        top = top[top >= 0]
+    keep[bent] = on_stack.reshape(bent.size, n)
+    return keep
+
+
+def upper_hull_values(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Each curve's upper hull evaluated back on its own sample points.
+
+    Same shapes as :func:`upper_hull_mask`; returns ``(L, n)`` values
+    equal, bit for bit, to ``np.interp(x, *upper_convex_hull(x, y))``
+    curve by curve.  It uses ``np.interp``'s own arithmetic: a vertex
+    keeps its sample, and a sample between vertices ``(x0, y0)`` and
+    ``(x1, y1)`` becomes ``slope * (x - x0) + y0`` with
+    ``slope = (y1 - y0) / (x1 - x0)`` (and, should that overflow to
+    NaN, ``np.interp``'s fallback from the right-hand vertex).
+    """
+    ys = np.asarray(ys, dtype=float)
+    xs = np.broadcast_to(np.asarray(xs, dtype=float), ys.shape)
+    keep = upper_hull_mask(xs, ys)
+    out = ys.copy()
+    curve, at = np.nonzero(~keep)
+    if curve.size == 0:
+        return out
+    index = np.arange(ys.shape[1])
+    # The first and last samples are always vertices, so every
+    # non-vertex has a vertex on each side.
+    left = np.maximum.accumulate(np.where(keep, index, 0), axis=1)[curve, at]
+    right = np.minimum.accumulate(
+        np.where(keep, index, index[-1])[:, ::-1], axis=1
+    )[:, ::-1][curve, at]
+    x0, y0 = xs[curve, left], ys[curve, left]
+    x1, y1 = xs[curve, right], ys[curve, right]
+    x = xs[curve, at]
+    with np.errstate(invalid="ignore", over="ignore"):
+        slope = (y1 - y0) / (x1 - x0)
+        values = slope * (x - x0) + y0
+        lost = np.isnan(values)
+        if lost.any():
+            values[lost] = slope[lost] * (x[lost] - x1[lost]) + y1[lost]
+            flat = lost & np.isnan(values) & (y0 == y1)
+            values[flat] = y0[flat]
+    out[curve, at] = values
+    return out
 
 
 def hull_interpolate(

@@ -1,5 +1,6 @@
 """The DVFS power model and its inverse."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,6 +86,78 @@ class TestInverse:
         f1 = m.frequency_for_power(5.0)
         f2 = m.frequency_for_power(10.0)
         assert f2 > f1
+
+
+def _scalar_bisection(m, watts, activity=1.0, temperature_c=None):
+    """Oracle: the one-point bisection on dynamic + static power."""
+
+    def power(f):
+        return m.dynamic_power(f, activity) + m.static_power(f, temperature_c)
+
+    lo, hi = m.core.min_frequency_ghz, m.core.max_frequency_ghz
+    if watts <= power(lo):
+        return lo
+    if watts >= power(hi):
+        return hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if power(mid) <= watts:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestArrayInverse:
+    """Array calls equal the elementwise scalar bisection bit for bit."""
+
+    def test_total_power_is_dynamic_plus_static(self):
+        m = DVFSPowerModel()
+        for f in (0.1, 0.8, 1.7, 3.33, 4.0, 7.0):
+            for temp in (None, 25.0, 95.0):
+                assert m.total_power(f, 0.7, temp) == (
+                    m.dynamic_power(f, 0.7) + m.static_power(f, temp)
+                )
+
+    @pytest.mark.parametrize("temperature_c", [None, 20.0, 45.0, 80.0, 95.0])
+    def test_matches_scalar_bisection(self, temperature_c):
+        m = DVFSPowerModel()
+        rng = np.random.default_rng(3)
+        activity = rng.uniform(0.3, 1.2, 300)
+        low = np.array([m.min_power(a, temperature_c) for a in activity])
+        high = np.array([m.max_power(a, temperature_c) for a in activity])
+        watts = np.concatenate(
+            [
+                rng.uniform(low, high),  # inside the envelope
+                low, high,  # exactly at the ends
+                low - rng.uniform(0.0, 3.0, low.size),  # below the minimum
+                high + rng.uniform(0.0, 3.0, high.size),  # above the maximum
+            ]
+        )
+        activity = np.tile(activity, 5)
+        got = m.frequency_for_power(watts, activity, temperature_c)
+        want = np.array(
+            [_scalar_bisection(m, w, a, temperature_c) for w, a in zip(watts, activity)]
+        )
+        assert got.shape == watts.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_per_element_temperatures_broadcast(self):
+        m = DVFSPowerModel()
+        temps = np.linspace(20.0, 95.0, 16)
+        watts = np.linspace(3.0, 30.0, 7)[:, None]
+        got = m.frequency_for_power(watts, 0.9, temps)
+        assert got.shape == (7, 16)
+        for i, w in enumerate(watts[:, 0]):
+            for j, t in enumerate(temps):
+                assert got[i, j] == _scalar_bisection(m, w, 0.9, t)
+
+    def test_scalar_input_returns_a_float(self):
+        m = DVFSPowerModel()
+        for watts in (0.0, 6.5, 1e6, np.float64(6.5)):
+            f = m.frequency_for_power(watts, 0.8, 60.0)
+            assert type(f) is float
+            assert f == _scalar_bisection(m, float(watts), 0.8, 60.0)
 
 
 def test_rapl_quantum_matches_intel():

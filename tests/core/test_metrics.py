@@ -13,7 +13,46 @@ from repro.core import (
     market_utility_range,
     price_of_anarchy,
 )
-from repro.utility import LinearUtility
+from repro.cmp import ChipModel, cmp_64core
+from repro.core import EqualShare
+from repro.core.mechanisms import AllocationProblem
+from repro.utility import LinearUtility, UtilityFunction
+from repro.workloads import generate_bundles
+
+
+def _scalar_envy_matrix(utilities, allocations):
+    """Oracle: the N^2 scalar ``value()`` double loop."""
+    n = allocations.shape[0]
+    return np.array([[u.value(allocations[j]) for j in range(n)] for u in utilities])
+
+
+def _scalar_envy_freeness(matrix):
+    """Oracle: the pairwise loop of Definition 3 (NaN-blind ``min``)."""
+    worst = 1.0
+    for i in range(matrix.shape[0]):
+        for j in range(matrix.shape[0]):
+            if i != j and matrix[i, j] > 0.0:
+                worst = min(worst, matrix[i, i] / matrix[i, j])
+    return worst
+
+
+@pytest.fixture(scope="module")
+def problem_64():
+    bundle = generate_bundles("CPBN", 64, count=1, seed=4)[0]
+    return ChipModel(cmp_64core(), bundle.apps).build_problem()
+
+
+class _NaNAt(UtilityFunction):
+    """Linear utility that is NaN on one poisoned bundle."""
+
+    num_resources = 1
+
+    def __init__(self, poisoned):
+        self.poisoned = poisoned
+
+    def value(self, allocation):
+        x = float(allocation[0])
+        return float("nan") if x == self.poisoned else x
 
 
 class TestEfficiency:
@@ -30,6 +69,20 @@ class TestEnvyMatrix:
         allocations = np.array([[1.0], [3.0]])
         matrix = envy_matrix(utilities, allocations)
         np.testing.assert_allclose(matrix, [[1.0, 3.0], [2.0, 6.0]])
+
+
+    def test_rows_equal_the_scalar_double_loop_on_64_cores(self, problem_64):
+        rng = np.random.default_rng(9)
+        n = problem_64.num_players
+        shares = rng.dirichlet(np.ones(n), size=2).T * problem_64.capacities
+        shares[:3] = 0.0  # the zero bundle and the grid's low corner
+        for allocations in (shares, np.tile(problem_64.capacities / n, (n, 1))):
+            got = envy_matrix(problem_64.utilities, allocations)
+            want = _scalar_envy_matrix(problem_64.utilities, allocations)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert envy_freeness(problem_64.utilities, allocations) == (
+                _scalar_envy_freeness(want)
+            )
 
 
 class TestEnvyFreeness:
@@ -74,6 +127,33 @@ class TestEnvyFreeness:
         allocations = np.array(amounts)[:, None]
         ef = envy_freeness(utilities, allocations)
         assert 0.0 <= ef <= 1.0
+
+
+class TestEnvyFreenessNaN:
+    """A NaN valuation never scores as perfectly fair."""
+
+    def test_nan_entry_in_the_matrix(self):
+        utilities = [LinearUtility([1.0]), _NaNAt(poisoned=3.0)]
+        allocations = np.array([[3.0], [1.0]])
+        assert np.isnan(envy_matrix(utilities, allocations)[1, 0])
+        ef = envy_freeness(utilities, allocations)
+        assert ef != 1.0 and np.isnan(ef)
+
+    def test_nan_own_utility(self):
+        utilities = [LinearUtility([1.0]), _NaNAt(poisoned=0.0)]
+        allocations = np.array([[0.0], [0.0]])
+        assert np.isnan(envy_freeness(utilities, allocations))
+
+    def test_nan_capacity_through_a_mechanism(self):
+        problem = AllocationProblem(
+            utilities=[LinearUtility([1.0, 1.0]), LinearUtility([2.0, 0.5])],
+            capacities=np.array([4.0, np.nan]),
+            resource_names=["cache", "power"],
+            player_names=["a", "b"],
+        )
+        result = EqualShare().allocate(problem)
+        assert np.isnan(result.efficiency)
+        assert result.envy_freeness != 1.0 and np.isnan(result.envy_freeness)
 
 
 class TestPriceOfAnarchy:

@@ -14,7 +14,23 @@ from repro.utility.convex_hull import (
     PiecewiseLinearConcave,
     hull_interpolate,
     upper_convex_hull,
+    upper_hull_mask,
+    upper_hull_values,
 )
+
+
+def _scalar_chain(xs, ys):
+    """Oracle: the one-curve monotone chain as a plain Python loop."""
+    stack = []
+    for k in range(xs.size):
+        while len(stack) >= 2:
+            a, b = stack[-2], stack[-1]
+            cross = (xs[b] - xs[a]) * (ys[k] - ys[a]) - (ys[b] - ys[a]) * (xs[k] - xs[a])
+            if cross < 0.0:
+                break
+            stack.pop()
+        stack.append(k)
+    return np.array(stack)
 
 
 def _curves(min_size=1, max_size=40):
@@ -147,3 +163,36 @@ class TestPiecewiseLinearConcave:
     def test_callable(self):
         f = PiecewiseLinearConcave([0.0, 1.0], [0.0, 1.0])
         assert f(0.5) == pytest.approx(0.5)
+
+
+class TestLockstepHull:
+    """The lockstep kernel makes the one-curve chain's exact decisions."""
+
+    @given(_curves())
+    @settings(max_examples=150, deadline=None)
+    def test_single_curve_matches_the_scalar_chain(self, curve):
+        xs, ys = curve
+        idx = _scalar_chain(xs, ys)
+        hx, hy = upper_convex_hull(xs, ys)
+        assert np.array_equal(hx, xs[idx]) and np.array_equal(hy, ys[idx])
+
+    @pytest.mark.parametrize("shared_axis", [True, False])
+    def test_stacked_curves_match_the_scalar_chain_bitwise(self, shared_axis):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 7, 17):
+            num = 40
+            xs = np.cumsum(rng.random((num, n)) + 0.01, axis=1)
+            if shared_axis:
+                xs = xs[0]
+            ys = rng.random((num, n))
+            ys[::4] = np.round(ys[::4] * 2.0)  # plateaus and ties
+            ys[1::4] = np.sqrt(np.arange(n) + 1.0)  # already concave
+            ys[2::4] = 3.0 * np.arange(n)  # collinear
+            mask = upper_hull_mask(xs, ys)
+            values = upper_hull_values(xs, ys)
+            for c in range(num):
+                x = xs if shared_axis else xs[c]
+                idx = _scalar_chain(x, ys[c])
+                assert np.flatnonzero(mask[c]).tolist() == idx.tolist()
+                want = np.interp(x, x[idx], ys[c][idx])
+                assert np.array_equal(values[c].view(np.int64), want.view(np.int64))
