@@ -7,7 +7,7 @@ category plus the paper's bbpc reference mix):
 * **Equivalence** — the lockstep :class:`VectorHillClimbBidder` mirrors
   the scalar hill climb's arithmetic operation for operation, so the
   bid matrices come out bitwise identical, allocations agree within
-  ``ALLOCATION_TOLERANCE`` of capacity, and iteration counts /
+  ``LOCKSTEP_TOLERANCE`` of capacity, and iteration counts /
   price-convergence flags match exactly.
 * **Savings** — the batched path makes at least 3x fewer Python-level
   utility evaluations (``EquilibriumResult.eval_counts``) and is faster

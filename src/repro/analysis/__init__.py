@@ -20,7 +20,7 @@ from .experiments import (
     run_analytic_sweep,
     run_simulation_experiment,
 )
-from .hotloop_bench import ALLOCATION_TOLERANCE, run_hotloop_bench
+from .hotloop_bench import run_hotloop_bench
 from .reporting import format_series, format_table, summarize_simulation, summarize_sweep
 from .stats import fraction_at_least, geometric_mean, series_summary
 from .sweep_bench import run_sweep_bench, sweep_fingerprint, sweeps_identical
@@ -68,5 +68,4 @@ __all__ = [
     "EpochProbeRecord",
     "run_warmstart_bench",
     "run_hotloop_bench",
-    "ALLOCATION_TOLERANCE",
 ]

@@ -13,7 +13,8 @@ Python-level utility-call counts for the scalar and lockstep paths.
 Equivalence is checked alongside speed: the lockstep climb mirrors the
 scalar arithmetic operation for operation, so bids, allocations,
 iteration counts, and price-convergence flags must agree (allocations to
-:data:`ALLOCATION_TOLERANCE` of capacity; flags exactly).
+:data:`~repro.core.bidding.LOCKSTEP_TOLERANCE` of capacity; flags
+exactly).
 
 ``run_hotloop_bench`` returns a JSON-ready dict;
 ``scripts/bench_hotloop.py`` and ``benchmarks/test_hotloop.py`` both
@@ -29,29 +30,17 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.cmp import ChipModel, CMPConfig, cmp_8core
-from repro.core.bidding import HillClimbBidder, VectorHillClimbBidder
+from repro.core.bidding import LOCKSTEP_TOLERANCE, HillClimbBidder, VectorHillClimbBidder
 from repro.core.equilibrium import find_equilibrium
 from repro.core.rebudget import ReBudgetConfig, run_rebudget
+from repro.exec import usable_cpus
 from repro.workloads import generate_bundles, paper_bbpc_bundle
 
-__all__ = ["ALLOCATION_TOLERANCE", "DEFAULT_CATEGORIES", "run_hotloop_bench"]
-
-#: Documented equivalence tolerance, as a fraction of each resource's
-#: capacity.  The lockstep path is bitwise-identical to the scalar path
-#: for every built-in utility family, so this is pure safety margin for
-#: future utilities whose batched override reorders a summation.
-ALLOCATION_TOLERANCE = 1e-9
+__all__ = ["DEFAULT_CATEGORIES", "run_hotloop_bench"]
 
 #: Fig-4 workload categories benchmarked beside the paper's headline
 #: bbpc mix (letters: Cache-, Power-sensitive, Both, Neither).
 DEFAULT_CATEGORIES = ("CCCC", "PPPP", "BBNN", "CPBN")
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _timed_equilibria(market, bidder, repeats: int):
@@ -192,13 +181,13 @@ def run_hotloop_bench(
     return {
         "host": {
             "cpu_count": os.cpu_count() or 1,
-            "usable_cpus": _usable_cpus(),
+            "usable_cpus": usable_cpus(),
         },
         "config": {
             "num_cores": config.num_cores,
             "repeats": repeats,
             "categories": list(categories),
-            "allocation_tolerance": ALLOCATION_TOLERANCE,
+            "allocation_tolerance": LOCKSTEP_TOLERANCE,
         },
         "problems": per_problem,
         "rebudget": rebudget,

@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..cmp.config import CMPConfig, cmp_8core
+from ..exec import usable_cpus
 from .experiments import SweepResult, run_analytic_sweep
 
 __all__ = [
@@ -85,13 +86,6 @@ def sweeps_identical(a: SweepResult, b: SweepResult) -> tuple:
     return identical, worst
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
 def run_sweep_bench(
     config: Optional[CMPConfig] = None,
     bundles_per_category: int = 3,
@@ -149,6 +143,6 @@ def run_sweep_bench(
         "failures": len(serial.failures) + len(parallel.failures),
         "machine": {
             "cpu_count": os.cpu_count() or 1,
-            "usable_cpus": _usable_cpus(),
+            "usable_cpus": usable_cpus(),
         },
     }

@@ -17,12 +17,16 @@ provided:
 
 Both return bid vectors that (a) are non-negative and (b) spend the full
 budget whenever any resource still has positive marginal utility.
+:class:`VectorHillClimbBidder` runs the hill climb for all players in
+lockstep, and :class:`PriceTakingBidder` is the price-taking ablation.
+A Jacobi round is one :meth:`BiddingStrategy.optimize_all` call, which
+by default loops :meth:`~BiddingStrategy.optimize` over the players.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +39,7 @@ from .player import (
 )
 
 __all__ = [
+    "LOCKSTEP_TOLERANCE",
     "BiddingStrategy",
     "HillClimbBidder",
     "VectorHillClimbBidder",
@@ -42,25 +47,28 @@ __all__ = [
     "PriceTakingBidder",
 ]
 
+#: Documented slack, relative to ``max(1, budget)``, between a lockstep
+#: climb and the scalar climb it mirrors: the bound strict mode asserts
+#: and the hot-loop bench's ``--check`` gates allocations on.
+LOCKSTEP_TOLERANCE = 1e-9
+
 
 class BiddingStrategy(abc.ABC):
     """Finds a player's (approximately) optimal bids given others' bids."""
 
-    #: True for strategies offering :meth:`optimize_all`, the lockstep
-    #: all-players entry point ``find_equilibrium`` dispatches Jacobi
-    #: rounds to.
-    supports_lockstep: bool = False
-
-    #: Marginal utilities this strategy computed at the bids it last
+    #: Equation 7 marginals this strategy computed at the bids it last
     #: returned, or ``None`` when the last evaluation happened *before*
     #: the final move (the climb stopped on step size, so the stored
-    #: marginals would be stale).  Lets equilibrium/rebudget seams skip
-    #: re-deriving ``lambda_i`` when the climb already paid for it.
+    #: marginals would be stale) or the strategy never evaluates them.
+    #: Lets the equilibrium search skip re-deriving ``lambda_i`` when the
+    #: climb already paid for it.
     last_marginals: Optional[np.ndarray] = None
 
-    #: ``lambda_i`` derived from :attr:`last_marginals` (same formula as
-    #: :meth:`player_lambda`), or ``None`` when stale.
-    last_lambda: Optional[float] = None
+    #: What :meth:`optimize_all` last left behind: the (N, M) marginals
+    #: of every climb at its returned bids, and a per-player flag saying
+    #: whether they are *fresh* (the row of :attr:`last_marginals`).
+    last_marginals_all: Optional[np.ndarray] = None
+    last_fresh: Optional[np.ndarray] = None
 
     @abc.abstractmethod
     def optimize(
@@ -81,6 +89,49 @@ class BiddingStrategy(abc.ABC):
         climbs size their first step to it so a near-converged player
         does not re-explore the whole simplex.
         """
+
+    def optimize_all(
+        self,
+        utilities: Sequence[UtilityFunction],
+        budgets: np.ndarray,
+        others: np.ndarray,
+        capacities: np.ndarray,
+        current_bids: Optional[np.ndarray] = None,
+        step_hints: Optional[np.ndarray] = None,
+        evaluator: Optional[BatchedUtilitySet] = None,
+    ) -> np.ndarray:
+        """Best-respond for every player against fixed ``others`` bids.
+
+        One Jacobi round.  Parameters mirror :meth:`optimize` row-wise:
+        ``budgets`` is ``(N,)``, ``others`` is ``(N, M)`` (row ``i`` is
+        the sum of the *other* players' bids as player ``i`` sees them),
+        and ``current_bids`` / ``step_hints`` are the optional ``(N, M)``
+        / ``(N,)`` warm-start state.  ``evaluator`` is a prebuilt
+        :class:`~repro.utility.batch.BatchedUtilitySet` over
+        ``utilities`` for strategies that batch their evaluations.
+        Returns the new ``(N, M)`` bid matrix and fills
+        :attr:`last_marginals_all` / :attr:`last_fresh`.
+
+        This default calls :meth:`optimize` once per row.
+        """
+        budgets = np.asarray(budgets, dtype=float)
+        bids = np.zeros((budgets.size, np.asarray(capacities).size))
+        self.last_marginals_all = np.zeros_like(bids)
+        self.last_fresh = np.zeros(budgets.size, dtype=bool)
+        for i, utility in enumerate(utilities):
+            self.last_marginals = None
+            bids[i] = self.optimize(
+                utility,
+                float(budgets[i]),
+                others[i],
+                capacities,
+                current_bids=None if current_bids is None else current_bids[i],
+                step_hint=None if step_hints is None else float(step_hints[i]),
+            )
+            if self.last_marginals is not None:
+                self.last_marginals_all[i] = self.last_marginals
+                self.last_fresh[i] = True
+        return bids
 
     @staticmethod
     def warm_start_bids(
@@ -111,7 +162,6 @@ class BiddingStrategy(abc.ABC):
         bids: np.ndarray,
         others: np.ndarray,
         capacities: np.ndarray,
-        marginals: Optional[np.ndarray] = None,
     ) -> float:
         """The player-specific multiplier ``lambda_i`` at a bid vector.
 
@@ -119,13 +169,8 @@ class BiddingStrategy(abc.ABC):
         marginal utility (Equation 4); we report the maximum marginal
         over resources with non-zero bids, which equals that shared
         value at an optimum and degrades gracefully away from one.
-
-        ``marginals`` short-circuits the evaluation when the caller
-        already holds ``dU/db`` at exactly these bids and others (e.g. a
-        climb's :attr:`last_marginals`).
         """
-        if marginals is None:
-            marginals = marginal_utility_of_bids(utility, bids, others, capacities)
+        marginals = marginal_utility_of_bids(utility, bids, others, capacities)
         active = bids > 1e-12
         if not np.any(active):
             return float(marginals.max(initial=0.0))
@@ -182,7 +227,6 @@ class HillClimbBidder(BiddingStrategy):
     ) -> np.ndarray:
         num_resources = capacities.size
         self.last_marginals = None
-        self.last_lambda = None
         if budget <= 0.0:
             return np.zeros(num_resources)
         if num_resources == 1:
@@ -209,38 +253,13 @@ class HillClimbBidder(BiddingStrategy):
             else:
                 step = float(np.clip(step_hint, 2.0 * min_step, cold_step))
 
-        # Marginals evaluated at exactly the bids we end up returning, or
-        # None when the climb's last act was a move (stale marginals).
-        final_marginals: Optional[np.ndarray] = None
-        while step >= min_step:
-            marginals = marginal_utility_of_bids(utility, bids, others, capacities)
-            final_marginals = marginals
-            # Donor: lowest marginal among resources we actually bid on.
-            # Recipient: highest marginal overall.
-            active = bids > 1e-12
-            donor_candidates = np.where(active)[0]
-            if donor_candidates.size == 0:
-                break
-            donor = donor_candidates[np.argmin(marginals[donor_candidates])]
-            recipient = int(np.argmax(marginals))
-            hi, lo = marginals[recipient], marginals[donor]
-            if recipient == donor or hi <= 0.0:
-                break
-            # Stop condition (a): marginals already agree within tolerance.
-            if hi - lo <= self.lambda_tolerance * hi:
-                break
-            moved = min(step, bids[donor])
-            bids[donor] -= moved
-            bids[recipient] += moved
-            final_marginals = None
-            # Step 3: exponential back-off.
-            step *= 0.5
-
-        if final_marginals is not None:
-            self.last_marginals = final_marginals
-            self.last_lambda = self.player_lambda(
-                utility, bids, others, capacities, marginals=final_marginals
-            )
+        self.last_marginals = _climb(
+            bids,
+            step,
+            min_step,
+            self.lambda_tolerance,
+            lambda b: marginal_utility_of_bids(utility, b, others, capacities),
+        )
         return bids
 
 
@@ -258,7 +277,7 @@ class VectorHillClimbBidder(HillClimbBidder):
     operation, so the returned bid matrix is *bitwise identical* to N
     scalar climbs for every built-in utility family (batched gradients
     reproduce scalar gradients exactly); ``strict=True`` re-runs the
-    scalar climbs and asserts agreement within ``strict_tolerance``
+    scalar climbs and asserts agreement within :data:`LOCKSTEP_TOLERANCE`
     (documented slack for utilities whose batched override differs from
     the scalar path in summation order).
 
@@ -267,24 +286,14 @@ class VectorHillClimbBidder(HillClimbBidder):
     one-player-at-a-time caller.
     """
 
-    supports_lockstep = True
-
-    #: Marginals each climb computed at its returned bids (N, M), and a
-    #: per-player flag saying whether they are *fresh* — evaluated at
-    #: exactly the returned bids rather than before a final move.
-    last_marginals_all: Optional[np.ndarray] = None
-    last_fresh: Optional[np.ndarray] = None
-
     def __init__(
         self,
         lambda_tolerance: float = 0.05,
         step_stop_fraction: float = 0.01,
         strict: bool = False,
-        strict_tolerance: float = 1e-9,
     ):
         super().__init__(lambda_tolerance, step_stop_fraction)
         self.strict = strict
-        self.strict_tolerance = strict_tolerance
 
     def optimize_all(
         self,
@@ -296,16 +305,10 @@ class VectorHillClimbBidder(HillClimbBidder):
         step_hints: Optional[np.ndarray] = None,
         evaluator: Optional[BatchedUtilitySet] = None,
     ) -> np.ndarray:
-        """Best-respond for every player against fixed ``others`` bids.
+        """All players' climbs in lockstep (see :meth:`BiddingStrategy.optimize_all`).
 
-        Parameters mirror :meth:`optimize` row-wise: ``budgets`` is
-        ``(N,)``, ``others`` is ``(N, M)`` (row ``i`` is the sum of the
-        *other* players' bids as player ``i`` sees them), and
-        ``current_bids`` / ``step_hints`` are the optional ``(N, M)`` /
-        ``(N,)`` warm-start state.  ``evaluator`` is a prebuilt
-        :class:`~repro.utility.batch.BatchedUtilitySet` over
-        ``utilities`` (built fresh when omitted — pass one when calling
-        every round).  Returns the new ``(N, M)`` bid matrix.
+        ``evaluator`` is built fresh when omitted — pass one when calling
+        every round.
         """
         budgets = np.asarray(budgets, dtype=float)
         others = np.asarray(others, dtype=float)
@@ -409,40 +412,21 @@ class VectorHillClimbBidder(HillClimbBidder):
                 active[move] = step[move] >= min_step[move]
 
         if self.strict:
-            self._assert_scalar_agreement(
-                utilities, budgets, others, capacities,
-                current_bids, step_hints, bids,
+            # Re-run every climb through the scalar path and compare.
+            expected = HillClimbBidder(
+                self.lambda_tolerance, self.step_stop_fraction
+            ).optimize_all(
+                utilities, budgets, others, capacities, current_bids, step_hints
             )
+            slack = LOCKSTEP_TOLERANCE * np.maximum(1.0, budgets)
+            for i in range(num_players):
+                if not np.all(np.abs(bids[i] - expected[i]) <= slack[i]):
+                    raise AssertionError(
+                        f"lockstep climb diverged from the scalar path for "
+                        f"player {i}: {bids[i]!r} vs {expected[i]!r} "
+                        f"(tolerance {slack[i]:g})"
+                    )
         return bids
-
-    def _assert_scalar_agreement(
-        self,
-        utilities: Sequence[UtilityFunction],
-        budgets: np.ndarray,
-        others: np.ndarray,
-        capacities: np.ndarray,
-        current_bids: Optional[np.ndarray],
-        step_hints: Optional[np.ndarray],
-        bids: np.ndarray,
-    ) -> None:
-        """Re-run every climb through the scalar path and compare."""
-        reference = HillClimbBidder(self.lambda_tolerance, self.step_stop_fraction)
-        for i in range(budgets.size):
-            expected = reference.optimize(
-                utilities[i],
-                float(budgets[i]),
-                others[i],
-                capacities,
-                current_bids=None if current_bids is None else current_bids[i],
-                step_hint=None if step_hints is None else float(step_hints[i]),
-            )
-            slack = self.strict_tolerance * max(1.0, float(budgets[i]))
-            if not np.all(np.abs(bids[i] - expected) <= slack):
-                raise AssertionError(
-                    f"lockstep climb diverged from the scalar path for "
-                    f"player {i}: {bids[i]!r} vs {expected!r} "
-                    f"(tolerance {slack:g})"
-                )
 
 
 class ExactBidder(BiddingStrategy):
@@ -549,31 +533,62 @@ class PriceTakingBidder(BiddingStrategy):
         prices = (others + np.maximum(np.asarray(previous, dtype=float), 0.0)) / capacities
         prices = np.maximum(prices, 1e-12)
 
+        def marginals_at(b: np.ndarray) -> np.ndarray:
+            allocation = np.minimum(b / prices, capacities)
+            du_dr = np.asarray(utility.gradient(allocation), dtype=float)
+            return np.where(allocation < capacities, du_dr / prices, 0.0)
+
         # The climb starts from the same bids the prices were derived
         # from: restarting from an equal split would optimize bids that
-        # are inconsistent with the prices assumed above.
+        # are inconsistent with the prices assumed above.  Its marginals
+        # are price-taking ones, not Equation 7's, so they are not
+        # exposed as last_marginals.
         warm = self.warm_start_bids(current_bids, budget, num_resources)
         bids = warm if warm is not None else np.full(num_resources, budget / num_resources)
-        step = budget / (2.0 * num_resources)
-        min_step = self.step_stop_fraction * budget
-        while step >= min_step:
-            allocation = np.minimum(bids / prices, capacities)
-            du_dr = np.asarray(utility.gradient(allocation), dtype=float)
-            marginals = np.where(allocation < capacities, du_dr / prices, 0.0)
-            active = bids > 1e-12
-            donors = np.where(active)[0]
-            if donors.size == 0:
-                break
-            donor = donors[np.argmin(marginals[donors])]
-            recipient = int(np.argmax(marginals))
-            hi, lo = marginals[recipient], marginals[donor]
-            if recipient == donor or hi <= 0.0 or hi - lo <= self.lambda_tolerance * hi:
-                break
-            moved = min(step, bids[donor])
-            bids[donor] -= moved
-            bids[recipient] += moved
-            step *= 0.5
+        _climb(
+            bids,
+            budget / (2.0 * num_resources),
+            self.step_stop_fraction * budget,
+            self.lambda_tolerance,
+            marginals_at,
+        )
         return bids
+
+
+def _climb(
+    bids: np.ndarray,
+    step: float,
+    min_step: float,
+    tolerance: float,
+    marginals_at: Callable[[np.ndarray], np.ndarray],
+) -> Optional[np.ndarray]:
+    """Section 4.1.2's donor/recipient/back-off loop, moving ``bids`` in place.
+
+    Returns the marginals evaluated at exactly the bids left behind, or
+    ``None`` when the loop's last act was a move (stale marginals).
+    """
+    final_marginals: Optional[np.ndarray] = None
+    while step >= min_step:
+        marginals = marginals_at(bids)
+        final_marginals = marginals
+        # Donor: lowest marginal among resources we actually bid on.
+        # Recipient: highest marginal overall.
+        donors = np.where(bids > 1e-12)[0]
+        if donors.size == 0:
+            break
+        donor = donors[np.argmin(marginals[donors])]
+        recipient = int(np.argmax(marginals))
+        hi, lo = marginals[recipient], marginals[donor]
+        # Stop condition (a): marginals already agree within tolerance.
+        if recipient == donor or hi <= 0.0 or hi - lo <= tolerance * hi:
+            break
+        moved = min(step, bids[donor])
+        bids[donor] -= moved
+        bids[recipient] += moved
+        final_marginals = None
+        # Step 3: exponential back-off.
+        step *= 0.5
+    return final_marginals
 
 
 def _project_to_simplex(vector: np.ndarray, total: float) -> np.ndarray:

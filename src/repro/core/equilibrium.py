@@ -205,13 +205,12 @@ def find_equilibrium(
         before it in the round.  Jacobi is the default and the one used
         in all experiments.
 
-    Jacobi rounds dispatch to the bidder's lockstep entry point
-    (``optimize_all``) when it advertises ``supports_lockstep`` — the
-    default :class:`~repro.core.bidding.VectorHillClimbBidder` does —
-    which advances every player's climb with batched utility
-    evaluations; results are bitwise identical to the per-player scalar
-    path.  Gauss–Seidel rounds and custom bidders always take the scalar
-    per-player path.
+    Every Jacobi round is one ``bidder.optimize_all`` call.  The default
+    :class:`~repro.core.bidding.VectorHillClimbBidder` advances all
+    players' climbs in lockstep with batched utility evaluations (bitwise
+    identical to per-player scalar climbs); other strategies inherit the
+    row-by-row ``optimize`` loop.  Gauss–Seidel rounds call ``optimize``
+    once per player, in order.
     """
     if bidder is None:
         bidder = VectorHillClimbBidder()
@@ -221,8 +220,7 @@ def find_equilibrium(
     capacities = market.capacities
     counters_at_entry = EVAL_COUNTERS.snapshot()
     utilities_of = [p.utility for p in market.players]
-    lockstep = update == "jacobi" and getattr(bidder, "supports_lockstep", False)
-    evaluator = BatchedUtilitySet(utilities_of) if lockstep else None
+    evaluator = BatchedUtilitySet(utilities_of)
     last_moves: Optional[np.ndarray] = None
     anchor: Optional[np.ndarray] = None
     warm_started = False
@@ -250,7 +248,7 @@ def find_equilibrium(
         # later round — and every warm-started round — resumes from the
         # player's previous bids with a step sized to its last move.
         resume = warm_started or iterations > 1
-        if lockstep:
+        if update == "jacobi":
             bids = bidder.optimize_all(
                 utilities_of,
                 market.budgets,
@@ -260,19 +258,6 @@ def find_equilibrium(
                 step_hints=last_moves,
                 evaluator=evaluator,
             )
-        elif update == "jacobi":
-            new_bids = np.empty_like(bids)
-            for i, player in enumerate(market.players):
-                others = totals - bids[i]
-                new_bids[i] = bidder.optimize(
-                    player.utility,
-                    player.budget,
-                    others,
-                    capacities,
-                    current_bids=bids[i] if resume else None,
-                    step_hint=None if last_moves is None else float(last_moves[i]),
-                )
-            bids = new_bids
         else:
             # Sequential rounds maintain the per-resource bid totals
             # incrementally (O(N·M) per round) instead of re-summing the
@@ -343,10 +328,24 @@ def find_equilibrium(
         _sanitize.check_convergence(converged, price_history, price_tolerance)
     state = market.allocate(bids)
     utilities = market.utilities(state.allocations)
+    # Only this search's own final Jacobi round can have left reusable
+    # marginals on the bidder; a Gauss–Seidel search must not pick up
+    # those of an earlier search that shared the bidder object.
+    reusable = (
+        update == "jacobi"
+        and iterations > 0
+        and not damped
+        and last_moves is not None
+        # "no player moved": last_moves entries are non-negative maxima
+        # of |bid deltas|, so none-positive means all-zero (spelled
+        # without a float equality).
+        and not np.any(last_moves > 0.0)
+        and bidder.last_fresh is not None
+        and bool(np.all(bidder.last_fresh))
+    )
     lambdas = _final_lambdas(
-        market, bids, capacities, bidder,
-        lockstep=lockstep, evaluator=evaluator,
-        last_moves=last_moves if iterations > 0 else None, damped=damped,
+        bids, capacities, evaluator,
+        bidder.last_marginals_all if reusable else None,
     )
     return EquilibriumResult(
         state=state,
@@ -375,66 +374,33 @@ def find_equilibrium(
 
 
 def _final_lambdas(
-    market: Market,
     bids: np.ndarray,
     capacities: np.ndarray,
-    bidder: BiddingStrategy,
-    *,
-    lockstep: bool,
-    evaluator: Optional[BatchedUtilitySet],
-    last_moves: Optional[np.ndarray],
-    damped: bool,
+    evaluator: BatchedUtilitySet,
+    marginals: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Per-player ``lambda_i`` at the final bid matrix.
 
-    The scalar path recomputes one marginal vector per player (the
-    pre-existing behaviour).  The lockstep path needs at most one batched
-    evaluation — and none at all when the final round's climbs already
-    evaluated marginals at exactly these bids: that requires every
-    player's marginals to be *fresh* (:attr:`last_fresh`), no bid to have
-    moved in the final round (``last_moves`` all zero, so each climb's
-    round-start ``others`` equals the final matrix's), and no oscillation
-    damping to have averaged the matrix after the climbs ran.  Warm
-    verification rounds — the common case in epoch chains — meet all
-    three, so their lambda collection is free.
+    The vectorized :meth:`~repro.core.bidding.BiddingStrategy.player_lambda`:
+    max marginal over actively-bid resources, falling back to
+    ``max(marginals, 0)`` for all-zero rows.  ``marginals`` are the final
+    round's climb marginals when they were evaluated at exactly these
+    bids — every player's are fresh, no bid moved in the round (so each
+    climb's round-start ``others`` equals the final matrix's) and no
+    oscillation damping averaged the matrix afterwards.  Warm
+    verification rounds, the common case in epoch chains, meet all
+    three, so their lambda collection is free.  Otherwise one batched
+    evaluation over ``evaluator`` derives them.
     """
-    totals = bids.sum(axis=0)
-    if lockstep:
-        reusable = (
-            not damped
-            and last_moves is not None
-            # "no player moved": last_moves entries are non-negative
-            # maxima of |bid deltas|, so none-positive means all-zero
-            # (spelled without a float equality).
-            and not np.any(last_moves > 0.0)
-            and getattr(bidder, "last_fresh", None) is not None
-            and bool(np.all(bidder.last_fresh))
+    if marginals is None:
+        totals = bids.sum(axis=0)
+        marginals = marginal_utility_of_bids_batch(
+            bids, totals[None, :] - bids, capacities, evaluator=evaluator
         )
-        if reusable:
-            marginals = bidder.last_marginals_all
-        else:
-            marginals = marginal_utility_of_bids_batch(
-                bids, totals[None, :] - bids, capacities, evaluator=evaluator
-            )
-        # Vectorized player_lambda: max marginal over actively-bid
-        # resources, falling back to max(marginals, 0) for all-zero rows.
-        active = bids > 1e-12
-        has_active = active.any(axis=1)
-        over_active = np.where(active, marginals, -np.inf).max(axis=1)
-        return np.where(
-            has_active, over_active, np.maximum(marginals.max(axis=1), 0.0)
-        )
-    return np.array(
-        [
-            BiddingStrategy.player_lambda(
-                player.utility,
-                bids[i],
-                totals - bids[i],
-                capacities,
-            )
-            for i, player in enumerate(market.players)
-        ]
-    )
+    active = bids > 1e-12
+    has_active = active.any(axis=1)
+    over_active = np.where(active, marginals, -np.inf).max(axis=1)
+    return np.where(has_active, over_active, np.maximum(marginals.max(axis=1), 0.0))
 
 
 def _prices_stable(old: np.ndarray, new: np.ndarray, tolerance: float) -> bool:

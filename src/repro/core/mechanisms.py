@@ -131,6 +131,16 @@ class MechanismResult:
     details: Dict[str, object] = field(default_factory=dict)
 
 
+def _checked_budget(budget: float) -> float:
+    """``budget`` as a float, rejecting zero, negative and non-finite ones."""
+    budget = float(budget)
+    if not (np.isfinite(budget) and budget > 0.0):
+        raise MarketConfigurationError(
+            f"budget must be positive and finite, got {budget!r}"
+        )
+    return budget
+
+
 def clamp_to_per_player_caps(
     allocations: np.ndarray, per_player_caps: np.ndarray
 ) -> np.ndarray:
@@ -289,7 +299,7 @@ class EqualBudget(AllocationMechanism):
         bidder: Optional[BiddingStrategy] = None,
         warm: bool = True,
     ):
-        self.budget = budget
+        self.budget = _checked_budget(budget)
         self.bidder = bidder or VectorHillClimbBidder()
         self.warm = warm
         self.warm_state = None
@@ -381,11 +391,15 @@ class ReBudgetMechanism(AllocationMechanism):
         warm: bool = True,
     ):
         self.config = ReBudgetConfig(
-            initial_budget=budget,
+            initial_budget=_checked_budget(budget),
             step=step,
             min_envy_freeness=min_envy_freeness,
             lambda_threshold=lambda_threshold,
         )
+        # Fail here, not in the first allocate(): a missing or
+        # non-positive step and an out-of-range threshold are typed
+        # configuration errors.
+        self.config.resolve()
         self.bidder = bidder or VectorHillClimbBidder()
         self.warm = warm
         self.warm_state = None

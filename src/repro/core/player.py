@@ -20,7 +20,6 @@ from ..utility.base import EVAL_COUNTERS, UtilityFunction
 __all__ = [
     "Player",
     "bid_to_allocation",
-    "bid_to_allocation_batch",
     "marginal_utility_of_bids",
     "marginal_utility_of_bids_batch",
 ]
@@ -67,6 +66,10 @@ def bid_to_allocation(bids: np.ndarray, others: np.ndarray, capacities: np.ndarr
     ``r_j = b_j / (b_j + y_j) * C_j``, where ``y_j`` is the sum of the
     other players' bids on resource ``j``.  When nobody bids on a
     resource at all (``b_j + y_j == 0``) the player receives nothing.
+
+    ``bids`` may also be a ``(K, M)`` batch of rows, with ``others``
+    ``(K, M)`` or ``(M,)``; numpy broadcasts the same arithmetic over the
+    leading axis, so row ``k`` equals the single-row call bitwise.
     """
     total = bids + others
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -75,26 +78,6 @@ def bid_to_allocation(bids: np.ndarray, others: np.ndarray, capacities: np.ndarr
     if _sanitize.ACTIVE:
         _sanitize.check_player_allocations(allocation, capacities)
     return allocation
-
-
-def bid_to_allocation_batch(
-    bids: np.ndarray, others: np.ndarray, capacities: np.ndarray
-) -> np.ndarray:
-    """Equation 2 applied to a ``(K, M)`` batch of bid rows at once.
-
-    Row ``k`` of the result equals ``bid_to_allocation(bids[k],
-    others[k], capacities)`` bitwise — the arithmetic is identical, numpy
-    merely broadcasts it over the leading axis.  ``others`` may be
-    ``(K, M)`` (each row's view of the rest of the market, the Jacobi
-    lockstep case) or ``(M,)`` broadcast to all rows.
-    """
-    total = bids + others
-    with np.errstate(invalid="ignore", divide="ignore"):
-        shares = np.where(total > 0.0, bids / np.where(total > 0.0, total, 1.0), 0.0)
-    allocations = shares * capacities
-    if _sanitize.ACTIVE:
-        _sanitize.check_player_allocations(allocations, capacities)
-    return allocations
 
 
 def marginal_utility_of_bids(
@@ -115,22 +98,7 @@ def marginal_utility_of_bids(
     allocation = bid_to_allocation(bids, others, capacities)
     EVAL_COUNTERS.scalar_gradient_calls += 1
     du_dr = np.asarray(utility.gradient(allocation), dtype=float)
-    total = bids + others
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dr_db = np.where(
-            total > 0.0,
-            others * capacities / np.where(total > 0.0, total, 1.0) ** 2,
-            # A first bid on an un-bid resource captures all of it; treat
-            # the marginal as the utility slope times full capture rate.
-            np.inf,
-        )
-    # Replace the infinite first-bid marginals with a large finite value
-    # proportional to the utility slope so comparisons stay meaningful.
-    dr_db = np.where(np.isinf(dr_db), capacities * _FIRST_BID_RATE, dr_db)
-    marginals = du_dr * dr_db
-    if _sanitize.ACTIVE:
-        _sanitize.check_marginals(marginals)
-    return marginals
+    return _chain_rule(du_dr, bids, others, capacities)
 
 
 def marginal_utility_of_bids_batch(
@@ -151,20 +119,31 @@ def marginal_utility_of_bids_batch(
     ``players`` row-ownership vector it should evaluate each allocation
     row under (the multi-player lockstep case).
     """
-    allocations = bid_to_allocation_batch(bids, others, capacities)
+    allocations = bid_to_allocation(bids, others, capacities)
     if evaluator is not None:
         du_dr = evaluator.gradients(allocations, players)
     elif utility is not None:
         du_dr = np.asarray(utility.gradient_batch(allocations), dtype=float)
     else:
         raise ValueError("pass either a utility or a batched evaluator")
+    return _chain_rule(du_dr, bids, others, capacities)
+
+
+def _chain_rule(
+    du_dr: np.ndarray, bids: np.ndarray, others: np.ndarray, capacities: np.ndarray
+) -> np.ndarray:
+    """Equation 7's ``dU/dr_j * dr_j/db_j`` for one bid row or a batch."""
     total = bids + others
     with np.errstate(invalid="ignore", divide="ignore"):
         dr_db = np.where(
             total > 0.0,
             others * capacities / np.where(total > 0.0, total, 1.0) ** 2,
+            # A first bid on an un-bid resource captures all of it; treat
+            # the marginal as the utility slope times full capture rate.
             np.inf,
         )
+    # Replace the infinite first-bid marginals with a large finite value
+    # proportional to the utility slope so comparisons stay meaningful.
     dr_db = np.where(np.isinf(dr_db), capacities * _FIRST_BID_RATE, dr_db)
     marginals = du_dr * dr_db
     if _sanitize.ACTIVE:

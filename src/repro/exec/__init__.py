@@ -7,6 +7,6 @@ reporting; ``workers=1`` falls back to an identical serial in-process
 path.  See :mod:`repro.exec.executor` for the full contract.
 """
 
-from .executor import CellOutcome, SweepExecutor, SweepProgress, SweepRun
+from .executor import CellOutcome, SweepExecutor, SweepProgress, SweepRun, usable_cpus
 
-__all__ = ["CellOutcome", "SweepExecutor", "SweepProgress", "SweepRun"]
+__all__ = ["CellOutcome", "SweepExecutor", "SweepProgress", "SweepRun", "usable_cpus"]

@@ -31,6 +31,7 @@ and work specs must be picklable; both constraints only bite when
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -38,7 +39,15 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["CellOutcome", "SweepProgress", "SweepRun", "SweepExecutor"]
+__all__ = ["CellOutcome", "SweepProgress", "SweepRun", "SweepExecutor", "usable_cpus"]
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where supported)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 @dataclass

@@ -35,8 +35,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .base import EVAL_COUNTERS, UtilityFunction, _GRADIENT_EPS
-from .tabular import GridUtility2D
+from .base import EVAL_COUNTERS, UtilityFunction, numeric_gradient_batch
+from .tabular import GridUtility2D, _bilinear_blend
 
 __all__ = ["BatchedUtilitySet", "StackedGrids"]
 
@@ -53,6 +53,9 @@ class StackedGrids:
         self.xs = np.stack([g.xs for g in grids])          # (G, nx)
         self.ys = np.stack([g.ys for g in grids])          # (G, ny)
         self.values = np.stack([g.values for g in grids])  # (G, nx, ny)
+        #: Flat view of the value tensor: sample (g, i, j) sits at
+        #: (g * nx + i) * ny + j.
+        self._table = self.values.ravel()
 
     def value_points(self, points: np.ndarray, owners: np.ndarray) -> np.ndarray:
         """Values of ``points[k]`` under grid ``owners[k]``.
@@ -72,55 +75,26 @@ class StackedGrids:
         i = np.clip(np.sum(xs <= xc[:, None], axis=1) - 1, 0, xs.shape[1] - 2)
         j = np.clip(np.sum(ys <= yc[:, None], axis=1) - 1, 0, ys.shape[1] - 2)
         span = np.arange(points.shape[0])
-        x0, x1 = xs[span, i], xs[span, i + 1]
-        y0, y1 = ys[span, j], ys[span, j + 1]
-        tx = (xc - x0) / (x1 - x0)
-        ty = (yc - y0) / (y1 - y0)
-        v00 = self.values[owners, i, j]
-        v01 = self.values[owners, i, j + 1]
-        v10 = self.values[owners, i + 1, j]
-        v11 = self.values[owners, i + 1, j + 1]
-        return (
-            v00 * (1 - tx) * (1 - ty)
-            + v10 * tx * (1 - ty)
-            + v01 * (1 - tx) * ty
-            + v11 * tx * ty
-        )
+        x0, y0 = xs[span, i], ys[span, j]
+        tx = (xc - x0) / (xs[span, i + 1] - x0)
+        ty = (yc - y0) / (ys[span, j + 1] - y0)
+        ny = ys.shape[1]
+        cell = (owners * xs.shape[1] + i) * ny + j
+        return _bilinear_blend(self._table, cell, ny, tx, ty)
 
     def gradient_points(self, points: np.ndarray, owners: np.ndarray) -> np.ndarray:
         """Numeric gradients of ``points[k]`` under grid ``owners[k]``.
 
-        Mirrors :func:`~repro.utility.base.numeric_gradient` (the scalar
-        default for :class:`GridUtility2D`): same relative step, same
-        forward-difference fallback at zero, same operation order, with
+        :func:`~repro.utility.base.numeric_gradient_batch` (the batched
+        twin of :class:`GridUtility2D`'s scalar numeric gradient) with
         all ``4K`` probes evaluated in one :meth:`value_points` call.
         """
         EVAL_COUNTERS.batch_gradient_calls += 1
         EVAL_COUNTERS.batch_points += points.shape[0]
-        n_points, n_dims = points.shape
-        steps = _GRADIENT_EPS * np.maximum(1.0, np.abs(points))
-        forward = points - steps < 0.0
-        probes = np.empty((2 * n_dims * n_points, n_dims), dtype=float)
-        for j in range(n_dims):
-            hi = points.copy()
-            hi[:, j] += steps[:, j]
-            lo = points.copy()
-            lo[:, j] -= np.where(forward[:, j], 0.0, steps[:, j])
-            base = 2 * j * n_points
-            probes[base : base + n_points] = hi
-            probes[base + n_points : base + 2 * n_points] = lo
-        values = self.value_points(probes, np.tile(owners, 2 * n_dims))
-        grad = np.empty_like(points)
-        for j in range(n_dims):
-            base = 2 * j * n_points
-            f_hi = values[base : base + n_points]
-            f_lo = values[base + n_points : base + 2 * n_points]
-            grad[:, j] = np.where(
-                forward[:, j],
-                (f_hi - f_lo) / steps[:, j],
-                (f_hi - f_lo) / (2.0 * steps[:, j]),
-            )
-        return grad
+        probe_owners = np.tile(owners, 2 * points.shape[1])
+        return numeric_gradient_batch(
+            lambda probes: self.value_points(probes, probe_owners), points
+        )
 
 
 #: Group kinds in a compiled plan.

@@ -247,9 +247,8 @@ class AdditiveUtility(UtilityFunction):
         )
 
     def value_batch(self, allocations: np.ndarray) -> np.ndarray:
+        # The components count their own evaluations.
         points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_value_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
         # Left-to-right accumulation matches the scalar sum() order.
         total = np.zeros(points.shape[0])
         for j, component in enumerate(self.components):
@@ -258,8 +257,6 @@ class AdditiveUtility(UtilityFunction):
 
     def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
         points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_gradient_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
         columns = [
             component.gradient_batch(points[:, j : j + 1])[:, 0]
             for j, component in enumerate(self.components)
@@ -291,14 +288,11 @@ class ScaledUtility(UtilityFunction):
     def gradient(self, allocation: Sequence[float]) -> np.ndarray:
         return self.scale * self.inner.gradient(allocation)
 
+    # The wrapped utility counts the evaluation; the affine map is free.
     def value_batch(self, allocations: np.ndarray) -> np.ndarray:
-        EVAL_COUNTERS.batch_value_calls += 1
-        EVAL_COUNTERS.batch_points += np.asarray(allocations).shape[0]
         return self.scale * self.inner.value_batch(allocations) + self.offset
 
     def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
-        EVAL_COUNTERS.batch_gradient_calls += 1
-        EVAL_COUNTERS.batch_points += np.asarray(allocations).shape[0]
         return self.scale * self.inner.gradient_batch(allocations)
 
     def __repr__(self) -> str:

@@ -198,29 +198,32 @@ def grid_bilinear_batch(
     values: np.ndarray,
     xc: np.ndarray,
     yc: np.ndarray,
-    owners: np.ndarray | None = None,
 ) -> np.ndarray:
     """Bilinear interpolation of pre-clamped points, vectorized.
 
     This is :meth:`GridUtility2D.value` applied elementwise — identical
     clamped-index lookups and the identical four-term blend, so results
-    agree bitwise with the scalar path.  ``values`` is ``(nx, ny)`` for a
-    single grid, or ``(G, nx, ny)`` with ``owners[k]`` selecting the grid
-    evaluated at point ``k`` (the stacked multi-player fast path).  Both
-    axes must have at least two samples.
+    agree bitwise with the scalar path.  ``values`` is ``(nx, ny)``;
+    both axes must have at least two samples.
     """
     i = np.clip(np.searchsorted(xs, xc, side="right") - 1, 0, xs.size - 2)
     j = np.clip(np.searchsorted(ys, yc, side="right") - 1, 0, ys.size - 2)
-    x0, x1 = xs[i], xs[i + 1]
-    y0, y1 = ys[j], ys[j + 1]
-    tx = (xc - x0) / (x1 - x0)
-    ty = (yc - y0) / (y1 - y0)
-    if owners is None:
-        v00, v01 = values[i, j], values[i, j + 1]
-        v10, v11 = values[i + 1, j], values[i + 1, j + 1]
-    else:
-        v00, v01 = values[owners, i, j], values[owners, i, j + 1]
-        v10, v11 = values[owners, i + 1, j], values[owners, i + 1, j + 1]
+    tx = (xc - xs[i]) / (xs[i + 1] - xs[i])
+    ty = (yc - ys[j]) / (ys[j + 1] - ys[j])
+    return _bilinear_blend(values.ravel(), i * ys.size + j, ys.size, tx, ty)
+
+
+def _bilinear_blend(
+    table: np.ndarray, cell: np.ndarray, stride: int, tx: np.ndarray, ty: np.ndarray
+) -> np.ndarray:
+    """The four-term blend of grid cells, same order as :meth:`GridUtility2D.value`.
+
+    ``table`` is a flattened C-order value grid with ``stride`` samples
+    per row and ``cell`` the flat index of each cell's low corner, so
+    one lookup serves a single grid and a stack of same-shape grids.
+    """
+    v00, v01 = table[cell], table[cell + 1]
+    v10, v11 = table[cell + stride], table[cell + (stride + 1)]
     return (
         v00 * (1 - tx) * (1 - ty)
         + v10 * tx * (1 - ty)

@@ -152,6 +152,32 @@ class TestReBudgetMechanism:
         assert ef_lower_bound(result.mbr) >= 0.6 - 1e-9
 
 
+class TestConstructionErrors:
+    """Bad mechanism parameters fail at construction with a typed error,
+    not later inside allocate()."""
+
+    def test_rebudget_needs_step_or_target(self):
+        with pytest.raises(MarketConfigurationError):
+            ReBudgetMechanism()
+
+    def test_rebudget_rejects_negative_step(self):
+        with pytest.raises(MarketConfigurationError):
+            ReBudgetMechanism(step=-1)
+
+    @pytest.mark.parametrize("budget", [0.0, -5.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            EqualBudget,
+            BalancedBudget,
+            lambda budget: ReBudgetMechanism(step=20, budget=budget),
+        ],
+    )
+    def test_rejects_non_positive_or_non_finite_budget(self, make, budget):
+        with pytest.raises(MarketConfigurationError):
+            make(budget=budget)
+
+
 class TestMaxEfficiency:
     def test_is_upper_bound_among_mechanisms(self, synthetic_problem):
         opt = MaxEfficiency().allocate(synthetic_problem)

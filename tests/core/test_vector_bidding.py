@@ -7,21 +7,21 @@ must be *bitwise identical* to N independent scalar climbs — cold, warm,
 stale-seeded, zero-budget, and single-resource alike.  The same holds
 end-to-end through ``find_equilibrium``, where the lockstep path must
 also cut the Python-level utility-call count at least 3x on the paper's
-8-core reference chip.
+8-core reference chip.  Every other strategy reaches Jacobi rounds
+through the inherited row-by-row ``optimize_all``, which must reproduce
+the per-player ``optimize`` / ``player_lambda`` oracle bitwise.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import (
+    BiddingStrategy,
+    ExactBidder,
     HillClimbBidder,
-    Market,
-    Player,
-    Resource,
-    ResourceSet,
+    PriceTakingBidder,
     VectorHillClimbBidder,
     bid_to_allocation,
-    bid_to_allocation_batch,
     find_equilibrium,
     marginal_utility_of_bids,
     marginal_utility_of_bids_batch,
@@ -77,7 +77,7 @@ class TestPlayerBatchSeams:
     CAPACITIES = np.array([10.0, 0.0, 5.0])
 
     def test_allocation_batch_matches_scalar(self):
-        batch = bid_to_allocation_batch(self.BIDS, self.OTHERS, self.CAPACITIES)
+        batch = bid_to_allocation(self.BIDS, self.OTHERS, self.CAPACITIES)
         for k in range(self.BIDS.shape[0]):
             expected = bid_to_allocation(
                 self.BIDS[k], self.OTHERS[k], self.CAPACITIES
@@ -86,7 +86,7 @@ class TestPlayerBatchSeams:
 
     def test_allocation_batch_broadcasts_shared_others(self):
         shared = self.OTHERS[0]
-        batch = bid_to_allocation_batch(self.BIDS, shared, self.CAPACITIES)
+        batch = bid_to_allocation(self.BIDS, shared, self.CAPACITIES)
         for k in range(self.BIDS.shape[0]):
             expected = bid_to_allocation(self.BIDS[k], shared, self.CAPACITIES)
             assert np.array_equal(batch[k], expected)
@@ -330,9 +330,9 @@ class TestLastLambdaExposure:
         others = np.array([50.0, 50.0])
         capacities = np.array([10.0, 5.0])
         bids = bidder.optimize(utility, 100.0, others, capacities)
-        assert bidder.last_marginals is not None
-        assert bidder.last_lambda == bidder.player_lambda(
-            utility, bids, others, capacities
+        assert np.array_equal(
+            bidder.last_marginals,
+            marginal_utility_of_bids(utility, bids, others, capacities),
         )
 
     def test_stale_exit_exposes_nothing(self):
@@ -345,7 +345,6 @@ class TestLastLambdaExposure:
         capacities = np.array([10.0, 5.0])
         bidder.optimize(utility, 100.0, others, capacities)
         assert bidder.last_marginals is None
-        assert bidder.last_lambda is None
 
     def test_reset_between_calls(self):
         bidder = HillClimbBidder()
@@ -353,9 +352,106 @@ class TestLastLambdaExposure:
         others = np.array([50.0, 50.0])
         capacities = np.array([10.0, 5.0])
         bidder.optimize(utility, 100.0, others, capacities)
-        assert bidder.last_lambda is not None
+        assert bidder.last_marginals is not None
         bidder.optimize(utility, 0.0, others, capacities)  # zero budget
-        assert bidder.last_lambda is None
+        assert bidder.last_marginals is None
+
+
+def lambda_oracle(market, bids):
+    """Per-player scalar ``player_lambda`` at a final bid matrix."""
+    totals = bids.sum(axis=0)
+    return np.array(
+        [
+            BiddingStrategy.player_lambda(
+                player.utility, bids[i], totals - bids[i], market.capacities
+            )
+            for i, player in enumerate(market.players)
+        ]
+    )
+
+
+def jacobi_oracle(market, bidder, max_iterations=30, tolerance=0.01):
+    """A cold Jacobi search written out with one ``optimize`` call per
+    player per round and scalar lambdas — the semantics every bidder's
+    ``optimize_all`` must reproduce inside ``find_equilibrium``."""
+
+    def stable(old, new):
+        reference = np.maximum(np.abs(old), np.abs(new))
+        return bool(
+            np.all(
+                np.abs(new - old)
+                <= tolerance * np.where(reference > 0.0, reference, 1.0)
+            )
+        )
+
+    capacities = market.capacities
+    bids = market.equal_split_bids()
+    prices = market.prices(bids)
+    history = [prices]
+    last_moves = None
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        totals = bids.sum(axis=0)
+        previous = bids
+        bids = np.empty_like(previous)
+        for i, player in enumerate(market.players):
+            bids[i] = bidder.optimize(
+                player.utility,
+                player.budget,
+                totals - previous[i],
+                capacities,
+                current_bids=previous[i] if iterations > 1 else None,
+                step_hint=None if last_moves is None else float(last_moves[i]),
+            )
+        new_prices = market.prices(bids)
+        oscillating = (
+            len(history) >= 2
+            and stable(history[-2], new_prices)
+            and not stable(prices, new_prices)
+        )
+        slow = iterations > 8 and not stable(prices, new_prices)
+        if oscillating or slow:
+            bids = 0.5 * (previous + bids)
+            new_prices = market.prices(bids)
+        last_moves = np.abs(bids - previous).max(axis=1)
+        history.append(new_prices)
+        if stable(prices, new_prices):
+            converged = True
+            break
+        prices = new_prices
+    return bids, lambda_oracle(market, bids), iterations, converged
+
+
+@pytest.mark.parametrize(
+    "make_bidder", [HillClimbBidder, ExactBidder, PriceTakingBidder]
+)
+def test_scalar_bidders_match_per_player_oracle(bbpc_problem, make_bidder):
+    """Scalar-class strategies run Jacobi rounds through the inherited
+    row-by-row ``optimize_all``; the equilibrium and its batched lambda
+    collection must equal the per-player oracle bitwise."""
+    market = bbpc_problem.build_market(np.full(bbpc_problem.num_players, 100.0))
+    result = find_equilibrium(market, bidder=make_bidder())
+    bids, lambdas, iterations, converged = jacobi_oracle(market, make_bidder())
+    assert np.array_equal(result.state.bids, bids)
+    assert np.array_equal(result.lambdas, lambdas)
+    assert result.iterations == iterations
+    assert result.converged == converged
+
+
+def test_default_optimize_all_reports_fresh_climbs(mixed_setup):
+    utilities, budgets, others, capacities = mixed_setup
+    bidder = HillClimbBidder()
+    bids = bidder.optimize_all(utilities, budgets, others, capacities)
+    assert np.array_equal(
+        bids, scalar_reference(utilities, budgets, others, capacities)
+    )
+    for i, utility in enumerate(utilities):
+        if bidder.last_fresh[i]:
+            assert np.array_equal(
+                bidder.last_marginals_all[i],
+                marginal_utility_of_bids(utility, bids[i], others[i], capacities),
+            )
 
 
 def test_gauss_seidel_keeps_scalar_path(bbpc_problem):
@@ -368,4 +464,23 @@ def test_gauss_seidel_keeps_scalar_path(bbpc_problem):
         market, bidder=VectorHillClimbBidder(), update="gauss-seidel"
     )
     assert np.array_equal(vector.state.bids, scalar.state.bids)
-    assert vector.eval_counts["batch_gradient_calls"] == 0
+    assert np.array_equal(vector.lambdas, lambda_oracle(market, vector.state.bids))
+
+
+def test_gauss_seidel_ignores_marginals_of_an_earlier_jacobi_search(bbpc_problem):
+    """A bidder object shared across searches still carries the fresh
+    marginals of its last Jacobi round; a later Gauss–Seidel search on a
+    different market must not report them as its lambdas."""
+    bidder = VectorHillClimbBidder()
+    jacobi_market = bbpc_problem.build_market(np.full(bbpc_problem.num_players, 100.0))
+    cold = find_equilibrium(jacobi_market, bidder=bidder)
+    warm = find_equilibrium(jacobi_market, bidder=bidder, warm_start=cold.warm_start)
+    assert warm.iterations == 1 and bool(np.all(bidder.last_fresh))
+
+    gs_market = bbpc_problem.build_market(np.full(bbpc_problem.num_players, 60.0))
+    seed = find_equilibrium(gs_market, bidder=bidder, update="gauss-seidel")
+    find_equilibrium(jacobi_market, bidder=bidder, warm_start=cold.warm_start)
+    result = find_equilibrium(
+        gs_market, bidder=bidder, update="gauss-seidel", warm_start=seed.warm_start
+    )
+    assert np.array_equal(result.lambdas, lambda_oracle(gs_market, result.state.bids))

@@ -212,6 +212,34 @@ class TestGenericFallback:
         assert delta["scalar_calls"] == 0
 
 
+class TestWrapperCounting:
+    """Wrappers delegate to leaf utilities, which do the counting: one
+    vectorized evaluation is one call over K points, not two."""
+
+    POINTS = np.array(
+        [[0.5, 1.0], [1.0, 2.0], [2.0, 0.5], [3.0, 3.0], [0.0, 1.5]]
+    )
+
+    @pytest.mark.parametrize("method", ["value_batch", "gradient_batch"])
+    def test_scaled_counts_once(self, method):
+        u = ScaledUtility(LinearUtility([1.0, 2.0]), scale=2.0, offset=0.5)
+        before = EVAL_COUNTERS.snapshot()
+        getattr(u, method)(self.POINTS)
+        delta = EVAL_COUNTERS.since(before)
+        assert delta["batch_calls"] == 1
+        assert delta["batch_points"] == self.POINTS.shape[0]
+        assert delta["scalar_calls"] == 0
+
+    @pytest.mark.parametrize("method", ["value_batch", "gradient_batch"])
+    def test_additive_counts_each_component_once(self, method):
+        u = AdditiveUtility([LinearUtility([1.0]), LogUtility([2.0])])
+        before = EVAL_COUNTERS.snapshot()
+        getattr(u, method)(self.POINTS)
+        delta = EVAL_COUNTERS.since(before)
+        assert delta["batch_calls"] == 2
+        assert delta["batch_points"] == 2 * self.POINTS.shape[0]
+
+
 class TestNumericGradientBatch:
     def test_matches_scalar_including_zero_boundary(self):
         # Rows with zero coordinates exercise the forward-difference
