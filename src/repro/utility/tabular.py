@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..exceptions import MarketConfigurationError
 from .base import EVAL_COUNTERS, UtilityFunction, numeric_gradient_batch
 from .convex_hull import PiecewiseLinearConcave
 
@@ -138,6 +139,10 @@ class GridUtility2D(UtilityFunction):
             raise ValueError("values must have shape (len(xs), len(ys))")
         if np.any(np.diff(self.xs) <= 0) or np.any(np.diff(self.ys) <= 0):
             raise ValueError("grid axes must be strictly increasing")
+        if not np.all(np.isfinite(self.values)):
+            # NaN or inf breaks the concave, non-decreasing contract the
+            # market and Theorems 1-2 rely on.
+            raise MarketConfigurationError("grid values must be finite")
 
     def value(self, allocation: Sequence[float]) -> float:
         x = float(np.clip(allocation[0], self.xs[0], self.xs[-1]))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import MarketConfigurationError
 from repro.utility import GridUtility2D, HullUtility1D, TabularUtility1D
 
 
@@ -84,6 +85,12 @@ class TestGridUtility2D:
             GridUtility2D([0.0, 1.0], [0.0], np.zeros((3, 1)))
         with pytest.raises(ValueError):
             GridUtility2D([1.0, 0.0], [0.0], np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        values = np.array([[0.0, 1.0], [1.0, bad]])
+        with pytest.raises(MarketConfigurationError, match="finite"):
+            GridUtility2D([0.0, 1.0], [0.0, 1.0], values)
 
     @given(
         st.floats(min_value=0.0, max_value=2.0),
