@@ -24,6 +24,7 @@ with their MRC, which is what feeds the UMON shadow-tag monitor.
 from __future__ import annotations
 
 import abc
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -81,11 +82,11 @@ class MissRateCurve(abc.ABC):
         Returns ``(sizes, survival)`` with sizes from 0 to ``max_bytes``
         and the survival values made strictly non-increasing (tiny
         numerical wiggles are flattened) so the inverse is well defined.
+        The MRCs are frozen and hashable, so each ``(mrc, max_bytes,
+        points)`` is tabulated once per process; the shared arrays are
+        read-only.
         """
-        sizes = np.linspace(0.0, max_bytes, points)
-        surv = np.array([self.survival(s) for s in sizes])
-        surv = np.minimum.accumulate(surv)
-        return sizes, surv
+        return _tabulate_survival(self, max_bytes, points)
 
     def sample_stack_distances(
         self,
@@ -96,23 +97,38 @@ class MissRateCurve(abc.ABC):
     ) -> np.ndarray:
         """Draw ``count`` stack distances (bytes) by inverse-CDF sampling.
 
-        The access population has three parts, so that the fraction of
-        distances exceeding ``s`` equals the absolute miss fraction
-        ``m(s)``: a ``floor`` fraction of compulsory misses (infinite
-        distance), a ``1 - ceiling`` fraction that hits at any size
-        (distance 0), and the capacity-sensitive remainder drawn by
-        inverting the (tabulated) survival function.  Pass a precomputed
-        ``table`` from :meth:`survival_table` to amortize the tabulation
-        across epochs.
+        Draws ``rng.random(count)`` and maps it with
+        :meth:`stack_distances`.  An application that never misses
+        (``ceiling <= 0``) gets all-zero distances and draws nothing.
+        Pass a precomputed ``table`` from :meth:`survival_table` to skip
+        the lookup.
         """
         if self.ceiling <= 0.0:
             # The application never misses: all reuses are tiny.
             return np.zeros(count)
         if table is None:
             table = self.survival_table(max_bytes)
+        return self.stack_distances(rng.random(count), table)
+
+    def stack_distances(
+        self, uniforms: np.ndarray, table: "tuple[np.ndarray, np.ndarray]"
+    ) -> np.ndarray:
+        """Map uniform draws in [0, 1) to stack distances (bytes).
+
+        The access population has three parts, so that the fraction of
+        distances exceeding ``s`` equals the absolute miss fraction
+        ``m(s)``: a ``floor`` fraction of compulsory misses (infinite
+        distance), a ``1 - ceiling`` fraction that hits at any size
+        (distance 0), and the capacity-sensitive remainder drawn by
+        inverting the tabulated survival function ``table``.  The map is
+        elementwise, so mapping a subset of the draws gives exactly the
+        same subset of the distances.
+        """
+        uniforms = np.asarray(uniforms, dtype=float)
+        out = np.zeros(uniforms.size)  # the "always hit" mass keeps distance 0
+        if self.ceiling <= 0.0:
+            return out
         sizes, surv = table
-        uniforms = rng.random(count)
-        out = np.zeros(count)  # the "always hit" mass keeps distance 0
         compulsory = uniforms < self.floor
         out[compulsory] = np.inf
         sensitive = (~compulsory) & (uniforms < self.ceiling)
@@ -125,6 +141,19 @@ class MissRateCurve(abc.ABC):
             beyond = targets < surv[-1]
             out[sensitive] = np.where(beyond, np.inf, drawn)
         return out
+
+
+@functools.lru_cache(maxsize=256)
+def _tabulate_survival(
+    mrc: MissRateCurve, max_bytes: float, points: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    # Scalar survival() per point: a vectorized exp differs from
+    # math.exp in the last bit.
+    sizes = np.linspace(0.0, max_bytes, points)
+    surv = np.minimum.accumulate(np.array([mrc.survival(s) for s in sizes]))
+    sizes.setflags(write=False)
+    surv.setflags(write=False)
+    return sizes, surv
 
 
 @dataclass(frozen=True)

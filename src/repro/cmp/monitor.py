@@ -6,19 +6,22 @@ memory phase, and Isci-style counters estimate compute time and power.
 No offline profiling is used.
 
 :class:`RuntimeMonitor` reproduces that loop for one core.  Every epoch
-it ingests the core's (synthetic) access stream into the shadow tags and
-a noisy CPI estimate into an exponential moving average; on demand it
-produces the concave utility function the market bids with.  The gap
-between this estimated utility and the true analytic one is exactly the
-phase-1 vs phase-2 difference of Section 6.
+it draws the core's (synthetic) access stream, maps to stack distances
+only the one-in-``sampling_rate`` accesses the shadow tags record, and
+folds a noisy CPI estimate into an exponential moving average; on
+demand it produces the concave utility function the market bids with.
+The gap between this estimated utility and the true analytic one is
+exactly the phase-1 vs phase-2 difference of Section 6.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..exceptions import MarketConfigurationError
 from ..utility.tabular import GridUtility2D
 from .config import CMPConfig
 from .core_model import CoreModel, resolve_frequency_axes
@@ -31,8 +34,9 @@ from .utility_builder import (
 
 __all__ = ["MAX_EPOCH_ACCESSES", "RuntimeMonitor", "estimated_utilities"]
 
-#: Cap on sampled accesses fed to the shadow tags per epoch; real UMON
-#: sees the full stream, but the histogram converges long before this.
+#: Cap on the L2 accesses one epoch streams past the shadow tags, of
+#: which one in ``umon_sampling_rate`` is recorded; real UMON sees the
+#: full stream, but the histogram converges long before this.
 MAX_EPOCH_ACCESSES = 200_000
 
 
@@ -65,6 +69,14 @@ class RuntimeMonitor:
         cpi_noise_std: float = 0.03,
         history_weight: float = 0.5,
     ):
+        if not math.isfinite(cpi_noise_std) or cpi_noise_std < 0.0:
+            raise MarketConfigurationError(
+                f"cpi_noise_std must be finite and >= 0, got {cpi_noise_std!r}"
+            )
+        if not math.isfinite(history_weight) or not 0.0 <= history_weight <= 1.0:
+            raise MarketConfigurationError(
+                f"history_weight must lie in [0, 1], got {history_weight!r}"
+            )
         self.core = core
         self.config = config
         self.rng = rng or np.random.default_rng(0)
@@ -87,15 +99,26 @@ class RuntimeMonitor:
 
         ``instructions`` retired this epoch determine the L2 access
         count; ``apki_scale`` reflects the application's current phase.
+        The epoch's uniform draws are made for every access, so the RNG
+        stream is that of sampling the whole epoch, but only the slice
+        the shadow tags record is mapped to stack distances (the map is
+        elementwise, so the recorded distances are the same bits).
         """
-        accesses = int(instructions * self.core.app.apki * apki_scale / 1000.0)
-        accesses = min(max(accesses, 0), MAX_EPOCH_ACCESSES)
-        if accesses > 0:
-            distances = self.core.app.mrc.sample_stack_distances(
-                self.rng, accesses, table=self._survival_table
+        access_rate = instructions * self.core.app.apki * apki_scale / 1000.0
+        if not math.isfinite(access_rate):
+            raise MarketConfigurationError(
+                f"epoch access count must be finite, got instructions={instructions!r}, "
+                f"apki_scale={apki_scale!r}"
             )
+        accesses = min(max(int(access_rate), 0), MAX_EPOCH_ACCESSES)
+        if accesses > 0:
+            mrc = self.core.app.mrc
             self.umon.reset()
-            self.umon.observe(distances)
+            recorded = self.umon.stride(accesses)
+            # As in sample_stack_distances, a curve that never misses
+            # draws nothing (it maps every draw to distance 0).
+            draws = self.rng.random(accesses) if mrc.ceiling > 0.0 else np.zeros(accesses)
+            self.umon.record(mrc.stack_distances(draws[recorded], self._survival_table))
             fresh = self.umon.miss_curve()
             if self._smoothed_curve is None:
                 self._smoothed_curve = fresh

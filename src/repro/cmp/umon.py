@@ -16,6 +16,13 @@ application models produce them from their reuse-distance distributions
 (`AppProfile.mrc.sample_stack_distances`), so the histogram the monitor
 accumulates is exactly what hardware shadow tags would observe, sampling
 noise included.
+
+Sampling and recording are separate steps: :meth:`UMONShadowTags.stride`
+accounts for a batch of accesses and returns the slice of it to record,
+and :meth:`UMONShadowTags.record` bins the distances of that slice.  A
+caller that generates its own accesses can therefore compute distances
+for the recorded slice only (``cmp.monitor`` does);
+:meth:`UMONShadowTags.observe` composes the two for a ready batch.
 """
 
 from __future__ import annotations
@@ -72,25 +79,36 @@ class UMONShadowTags:
 
         Only every ``sampling_rate``-th access is recorded, mirroring the
         set-sampling hardware; the rest only bump the access counter.
+        Equivalent to ``record(distances[stride(len(distances))])``.
         """
         distances = np.asarray(stack_distances_bytes, dtype=float)
-        n = distances.size
-        if n == 0:
-            return
-        # Deterministic striding across calls keeps exactly 1/rate sampling.
+        if distances.size:
+            self.record(distances[self.stride(distances.size)])
+
+    def stride(self, n: int) -> slice:
+        """Account for ``n`` accesses; return the slice of them to record.
+
+        The deterministic 1-in-``sampling_rate`` stride carries its phase
+        across calls, so batches of any size keep exactly 1/rate sampling.
+        """
         start = (-self._phase) % self.sampling_rate
-        sampled = distances[start::self.sampling_rate]
         self._phase = (self._phase + n) % self.sampling_rate
         self.total_accesses += n
-        self.sampled_accesses += sampled.size
+        return slice(start, n, self.sampling_rate)
 
+    def record(self, sampled_distances_bytes: np.ndarray) -> None:
+        """Add already-sampled stack distances (bytes) to the histogram."""
+        sampled = np.asarray(sampled_distances_bytes, dtype=float)
+        self.sampled_accesses += sampled.size
         finite = sampled[np.isfinite(sampled)]
         self.overflow += sampled.size - finite.size
         if finite.size:
             buckets = (finite // self.region_bytes).astype(np.int64)
             in_range = buckets < self.max_regions
             self.overflow += int(np.count_nonzero(~in_range))
-            np.add.at(self.hit_histogram, buckets[in_range], 1)
+            self.hit_histogram += np.bincount(
+                buckets[in_range], minlength=self.max_regions
+            )
 
     def miss_curve(self) -> np.ndarray:
         """Estimated miss fraction at partition sizes of 1..max_regions regions.

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cmp import KB, MB, AppProfile, CliffMRC, FlatMRC, MixtureMRC, Phase, PowerLawMRC
+from repro.cmp import KB, MB, AppProfile, CliffMRC, FlatMRC, MixtureMRC, Phase, PowerLawMRC, cmp_8core
+from repro.cmp.spec_suite import spec_suite
 
 _sizes = st.floats(min_value=0.0, max_value=8.0 * MB)
 
@@ -82,6 +83,82 @@ class TestSurvival:
         sizes, surv = mrc.survival_table()
         assert np.all(np.diff(surv) <= 1e-12)
         assert surv[0] == pytest.approx(1.0, abs=1e-6)
+
+
+def _scalar_survival_table(mrc, max_bytes, points=512):
+    sizes = np.linspace(0.0, max_bytes, points)
+    return sizes, np.minimum.accumulate(np.array([mrc.survival(s) for s in sizes]))
+
+
+class TestSurvivalTableMemo:
+    @pytest.mark.parametrize("app", spec_suite(), ids=lambda app: app.name)
+    def test_bitwise_equal_to_scalar_tabulation(self, app):
+        for max_bytes in (8 * MB, 2.0 * cmp_8core().umon_max_bytes):
+            sizes, surv = app.mrc.survival_table(max_bytes=max_bytes)
+            want_sizes, want_surv = _scalar_survival_table(app.mrc, max_bytes)
+            assert sizes.tobytes() == want_sizes.tobytes()
+            assert surv.tobytes() == want_surv.tobytes()
+
+    def test_equal_mrcs_share_one_table(self):
+        a = CliffMRC(0.9, 0.05, 1536 * KB, 15.0)
+        b = CliffMRC(0.9, 0.05, 1536 * KB, 15.0)
+        assert a is not b
+        assert a.survival_table()[1] is b.survival_table()[1]
+        assert a.survival_table(points=64)[1] is not a.survival_table()[1]
+
+    def test_shared_table_is_read_only(self):
+        sizes, surv = PowerLawMRC(0.8, 0.1, 256 * KB).survival_table()
+        with pytest.raises(ValueError):
+            surv[0] = 0.5
+        with pytest.raises(ValueError):
+            sizes[0] = 1.0
+
+
+def _seed_sample_stack_distances(mrc, rng, count, table):
+    """The inverse-CDF sampler as a single draw-and-map (before the split)."""
+    if mrc.ceiling <= 0.0:
+        return np.zeros(count)
+    sizes, surv = table
+    uniforms = rng.random(count)
+    out = np.zeros(count)
+    compulsory = uniforms < mrc.floor
+    out[compulsory] = np.inf
+    sensitive = (~compulsory) & (uniforms < mrc.ceiling)
+    if np.any(sensitive):
+        span = max(mrc.ceiling - mrc.floor, 1e-12)
+        targets = 1.0 - (uniforms[sensitive] - mrc.floor) / span
+        drawn = np.interp(-targets, -surv, sizes)
+        out[sensitive] = np.where(targets < surv[-1], np.inf, drawn)
+    return out
+
+
+class TestStackDistanceMap:
+    @pytest.mark.parametrize("app", spec_suite(), ids=lambda app: app.name)
+    def test_sampler_bitwise_equal_to_single_pass(self, app):
+        table = app.mrc.survival_table()
+        got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+        got = app.mrc.sample_stack_distances(got_rng, 3001, table=table)
+        want = _seed_sample_stack_distances(app.mrc, want_rng, 3001, table)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_map_is_elementwise(self, rng):
+        mrc = MixtureMRC(
+            components=(PowerLawMRC(0.7, 0.1, 128 * KB), CliffMRC(0.6, 0.05, 768 * KB)),
+            weights=(0.5, 0.5),
+        )
+        table = mrc.survival_table()
+        uniforms = rng.random(4000)
+        full = mrc.stack_distances(uniforms, table)
+        assert mrc.stack_distances(uniforms[5::32], table).tobytes() == full[5::32].tobytes()
+
+    def test_never_missing_curve_draws_nothing(self, rng):
+        state = rng.bit_generator.state
+        distances = FlatMRC(0.0).sample_stack_distances(rng, 100)
+        assert rng.bit_generator.state == state
+        np.testing.assert_array_equal(distances, 0.0)
+        table = FlatMRC(0.0).survival_table()
+        np.testing.assert_array_equal(FlatMRC(0.0).stack_distances(rng.random(10), table), 0.0)
 
 
 class TestStackDistanceSampling:

@@ -48,6 +48,52 @@ class TestObserve:
         assert umon.total_accesses == 0
 
 
+def _add_at_histogram(distances, max_regions, region_bytes, rate):
+    """The np.add.at histogram of every ``rate``-th distance (from index 0)."""
+    sampled = np.asarray(distances, dtype=float)[::rate]
+    finite = sampled[np.isfinite(sampled)]
+    buckets = (finite // region_bytes).astype(np.int64)
+    histogram = np.zeros(max_regions, dtype=np.int64)
+    np.add.at(histogram, buckets[buckets < max_regions], 1)
+    return histogram, sampled.size - int(np.count_nonzero(buckets < max_regions))
+
+
+def _random_distances(rng, n):
+    distances = rng.uniform(0.0, 24 * CACHE_REGION_BYTES, size=n)  # past 16 regions too
+    distances[rng.random(n) < 0.1] = np.inf
+    return distances
+
+
+class TestStrideAndRecord:
+    def test_observe_is_stride_then_record(self, rng):
+        direct = UMONShadowTags(max_regions=16, sampling_rate=32)
+        composed = UMONShadowTags(max_regions=16, sampling_rate=32)
+        for n in (45, 1, 0, 32, 1000, 77, 31):
+            distances = _random_distances(rng, n)
+            direct.observe(distances)
+            composed.record(distances[composed.stride(n)])
+            np.testing.assert_array_equal(direct.hit_histogram, composed.hit_histogram)
+            for counter in ("overflow", "sampled_accesses", "total_accesses", "_phase"):
+                assert getattr(direct, counter) == getattr(composed, counter), counter
+
+    def test_stride_carries_phase(self):
+        umon = UMONShadowTags(sampling_rate=32)
+        assert umon.stride(40) == slice(0, 40, 32)
+        assert umon.stride(40) == slice(24, 40, 32)
+        assert umon.total_accesses == 80
+        assert umon.sampled_accesses == 0  # stride only accounts
+
+    @pytest.mark.parametrize("rate", [1, 7, 32])
+    def test_bincount_matches_add_at(self, rng, rate):
+        distances = _random_distances(rng, 20000)
+        umon = UMONShadowTags(max_regions=16, sampling_rate=rate)
+        umon.observe(distances)
+        histogram, overflow = _add_at_histogram(distances, 16, CACHE_REGION_BYTES, rate)
+        assert umon.hit_histogram.dtype == np.int64
+        np.testing.assert_array_equal(umon.hit_histogram, histogram)
+        assert umon.overflow == overflow
+
+
 class TestMissCurve:
     def test_monotone_non_increasing(self, rng):
         umon = UMONShadowTags(sampling_rate=1)
