@@ -31,7 +31,7 @@ from .utility_builder import extra_capacity_for
 __all__ = ["GroupUtility", "build_grouped_problem", "expand_group_allocation"]
 
 
-class GroupUtility(UtilityFunction):
+class GroupUtility(UtilityFunction, delegates=True):
     """Sum of member utilities at an even per-member share of the bundle."""
 
     def __init__(self, member_utilities: Sequence[UtilityFunction]):
@@ -43,18 +43,22 @@ class GroupUtility(UtilityFunction):
         self.members = list(member_utilities)
         self.num_resources = self.members[0].num_resources
 
-    def value(self, allocation) -> float:
-        share = np.asarray(allocation, dtype=float) / len(self.members)
-        return float(sum(u.value(share) for u in self.members))
+    def value_batch(self, allocations: np.ndarray) -> np.ndarray:
+        shares = np.asarray(allocations, dtype=float) / len(self.members)
+        # Left to right from zero, the order of a plain sum() of members.
+        total = np.zeros(shares.shape[0])
+        for u in self.members:
+            total = total + u.value_batch(shares)
+        return total
 
-    def gradient(self, allocation) -> np.ndarray:
-        share = np.asarray(allocation, dtype=float) / len(self.members)
+    def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
+        shares = np.asarray(allocations, dtype=float) / len(self.members)
         # d/dR sum_m U_m(R/k) = (1/k) * sum_m grad U_m(R/k); with k
         # members the 1/k and the k-fold sum of identical-ish members
         # roughly cancel.
-        total = np.zeros(self.num_resources)
+        total = np.zeros_like(shares)
         for u in self.members:
-            total += np.asarray(u.gradient(share), dtype=float)
+            total = total + u.gradient_batch(shares)
         return total / len(self.members)
 
 

@@ -48,8 +48,8 @@ __all__ = [
 ]
 
 #: Documented slack, relative to ``max(1, budget)``, between a lockstep
-#: climb and the scalar climb it mirrors: the bound strict mode asserts
-#: and the hot-loop bench's ``--check`` gates allocations on.
+#: climb and the scalar climb it mirrors: the bound the tests assert and
+#: the hot-loop bench's ``--check`` gates allocations on.
 LOCKSTEP_TOLERANCE = 1e-9
 
 
@@ -275,25 +275,15 @@ class VectorHillClimbBidder(HillClimbBidder):
     donor/recipient selection, step back-off, every stop condition — is
     the scalar :meth:`HillClimbBidder.optimize` mirrored operation for
     operation, so the returned bid matrix is *bitwise identical* to N
-    scalar climbs for every built-in utility family (batched gradients
-    reproduce scalar gradients exactly); ``strict=True`` re-runs the
-    scalar climbs and asserts agreement within :data:`LOCKSTEP_TOLERANCE`
-    (documented slack for utilities whose batched override differs from
-    the scalar path in summation order).
+    scalar climbs whenever each utility's scalar gradient is the one-row
+    case of its batch kernel, as for every built-in family.  The tests
+    and the hot-loop bench hold it to :data:`LOCKSTEP_TOLERANCE` of the
+    scalar climbs.
 
     The scalar :meth:`optimize` entry point is inherited unchanged, so
     this bidder also works for Gauss–Seidel rounds and any other
     one-player-at-a-time caller.
     """
-
-    def __init__(
-        self,
-        lambda_tolerance: float = 0.05,
-        step_stop_fraction: float = 0.01,
-        strict: bool = False,
-    ):
-        super().__init__(lambda_tolerance, step_stop_fraction)
-        self.strict = strict
 
     def optimize_all(
         self,
@@ -411,21 +401,6 @@ class VectorHillClimbBidder(HillClimbBidder):
                 step[move] *= 0.5
                 active[move] = step[move] >= min_step[move]
 
-        if self.strict:
-            # Re-run every climb through the scalar path and compare.
-            expected = HillClimbBidder(
-                self.lambda_tolerance, self.step_stop_fraction
-            ).optimize_all(
-                utilities, budgets, others, capacities, current_bids, step_hints
-            )
-            slack = LOCKSTEP_TOLERANCE * np.maximum(1.0, budgets)
-            for i in range(num_players):
-                if not np.all(np.abs(bids[i] - expected[i]) <= slack[i]):
-                    raise AssertionError(
-                        f"lockstep climb diverged from the scalar path for "
-                        f"player {i}: {bids[i]!r} vs {expected[i]!r} "
-                        f"(tolerance {slack[i]:g})"
-                    )
         return bids
 
 

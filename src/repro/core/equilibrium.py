@@ -327,7 +327,7 @@ def find_equilibrium(
     if _sanitize.ACTIVE:
         _sanitize.check_convergence(converged, price_history, price_tolerance)
     state = market.allocate(bids)
-    utilities = market.utilities(state.allocations)
+    utilities = evaluator.values(state.allocations)
     # Only this search's own final Jacobi round can have left reusable
     # marginals on the bidder; a Gauss–Seidel search must not pick up
     # those of an earlier search that shared the bidder object.

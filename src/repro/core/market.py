@@ -16,7 +16,7 @@ import numpy as np
 
 from ..exceptions import MarketConfigurationError
 from ..qa import sanitize as _sanitize
-from ..utility.base import EVAL_COUNTERS
+from ..utility.batch import BatchedUtilitySet
 from .player import Player, bid_to_allocation
 from .resources import ResourceSet
 
@@ -102,10 +102,8 @@ class Market:
 
     def utilities(self, allocations: np.ndarray) -> np.ndarray:
         """Vector of player utilities for an allocation matrix."""
-        EVAL_COUNTERS.scalar_value_calls += len(self.players)
-        return np.array(
-            [p.utility_of(allocations[i]) for i, p in enumerate(self.players)]
-        )
+        evaluator = BatchedUtilitySet([p.utility for p in self.players])
+        return evaluator.values(allocations)
 
     def equal_split_bids(self) -> np.ndarray:
         """Every player splits its whole budget evenly across resources.

@@ -26,6 +26,7 @@ import numpy as np
 from ..exceptions import MarketConfigurationError
 from ..qa import sanitize as _sanitize
 from ..utility.base import UtilityFunction
+from ..utility.batch import BatchedUtilitySet
 from .bidding import BiddingStrategy, VectorHillClimbBidder
 from .equilibrium import EquilibriumResult, WarmStart, find_equilibrium
 from .market import Market
@@ -85,11 +86,31 @@ class AllocationProblem:
             raise MarketConfigurationError("one name per player required")
         if len(self.resource_names) != self.capacities.size:
             raise MarketConfigurationError("one name per resource required")
+        if not np.all(np.isfinite(self.capacities) & (self.capacities > 0.0)):
+            raise MarketConfigurationError(
+                f"capacities must be finite and positive, got {self.capacities!r}"
+            )
         if self.quanta is None:
             # Default optimum-search granularity: 1/256 of each capacity.
             self.quanta = self.capacities / 256.0
         else:
             self.quanta = np.asarray(self.quanta, dtype=float)
+        if self.quanta.shape != self.capacities.shape or not np.all(
+            np.isfinite(self.quanta) & (self.quanta > 0.0)
+        ):
+            raise MarketConfigurationError(
+                f"quanta must be finite and positive, one per resource, "
+                f"got {self.quanta!r}"
+            )
+        if self.per_player_caps is not None:
+            caps = np.asarray(self.per_player_caps, dtype=float)
+            if caps.shape != (self.num_players, self.num_resources):
+                raise MarketConfigurationError("per_player_caps must be (N, M)")
+            if not np.all(np.isfinite(caps) & (caps >= 0.0)):
+                raise MarketConfigurationError(
+                    "per_player_caps must be finite and non-negative"
+                )
+            self.per_player_caps = caps
 
     @property
     def num_players(self) -> int:
@@ -258,9 +279,7 @@ class AllocationMechanism(abc.ABC):
             )
         if _sanitize.ACTIVE:
             _sanitize.check_allocation(allocations, problem.capacities)
-        utilities = np.array(
-            [u.value(allocations[i]) for i, u in enumerate(problem.utilities)]
-        )
+        utilities = BatchedUtilitySet(problem.utilities).values(allocations)
         return MechanismResult(
             mechanism=self.name,
             allocations=allocations,
@@ -345,15 +364,19 @@ class BalancedBudget(EqualBudget):
     name = "Balanced"
 
     def allocate(self, problem: AllocationProblem) -> MechanismResult:
-        potentials = np.empty(problem.num_players)
-        for i, utility in enumerate(problem.utilities):
-            if problem.per_player_caps is not None:
-                best = np.minimum(problem.capacities, problem.per_player_caps[i])
-            else:
-                best = problem.capacities
-            u_max = utility.value(best)
-            u_min = utility.value(np.zeros(problem.num_resources))
-            potentials[i] = (u_max - u_min) / u_max if u_max > 0 else 0.0
+        n = problem.num_players
+        if problem.per_player_caps is not None:
+            best = np.minimum(problem.capacities, problem.per_player_caps)
+        else:
+            best = np.tile(problem.capacities, (n, 1))
+        # Every player's utility at its best bundle and at nothing, in
+        # one call: rows 0..N-1 then N..2N-1.
+        scores = BatchedUtilitySet(problem.utilities).values(
+            np.vstack([best, np.zeros_like(best)]), np.tile(np.arange(n), 2)
+        )
+        u_max, u_min = scores[:n], scores[n:]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            potentials = np.where(u_max > 0, (u_max - u_min) / u_max, 0.0)
         top = potentials.max()
         if top <= 0.0:
             budgets = np.full(problem.num_players, self.budget)
@@ -499,7 +522,7 @@ class ElasticitiesProportional(AllocationMechanism):
         ]
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([g.ravel() for g in mesh], axis=-1)
-        values = np.array([utility.value(p) for p in points])
+        values = utility.value_batch(points)
         mask = values > 1e-12
         if mask.sum() < m + 1:
             return np.full(m, 1.0 / m)

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..exceptions import MarketConfigurationError
 from ..qa import sanitize as _sanitize
-from ..utility.base import EVAL_COUNTERS, UtilityFunction
+from ..utility.base import UtilityFunction
 
 __all__ = [
     "Player",
@@ -93,12 +93,15 @@ def marginal_utility_of_bids(
         dU/db_j = dU/dr_j * y_j * C_j / (b_j + y_j)^2
 
     When ``y_j == 0`` the player already owns the whole resource for any
-    positive bid, so the marginal value of bidding more is zero.
+    positive bid, so the marginal value of bidding more is zero.  This is
+    the one-row case of :func:`marginal_utility_of_bids_batch`.
     """
-    allocation = bid_to_allocation(bids, others, capacities)
-    EVAL_COUNTERS.scalar_gradient_calls += 1
-    du_dr = np.asarray(utility.gradient(allocation), dtype=float)
-    return _chain_rule(du_dr, bids, others, capacities)
+    return marginal_utility_of_bids_batch(
+        np.asarray(bids, dtype=float)[None, :],
+        np.asarray(others, dtype=float)[None, :],
+        capacities,
+        utility=utility,
+    )[0]
 
 
 def marginal_utility_of_bids_batch(
@@ -112,8 +115,8 @@ def marginal_utility_of_bids_batch(
 ) -> np.ndarray:
     """Equation 7 marginals for a ``(K, M)`` batch of bid rows.
 
-    Row ``k`` equals ``marginal_utility_of_bids(utility_k, bids[k],
-    others[k], capacities)`` bitwise.  Callers either pass a shared
+    Row ``k`` is Equation 7 for bid row ``k`` against ``others[k]`` (see
+    :func:`marginal_utility_of_bids`).  Callers either pass a shared
     ``utility`` (all rows belong to the same player) or an ``evaluator``
     — a :class:`~repro.utility.batch.BatchedUtilitySet` — plus the
     ``players`` row-ownership vector it should evaluate each allocation
@@ -132,7 +135,7 @@ def marginal_utility_of_bids_batch(
 def _chain_rule(
     du_dr: np.ndarray, bids: np.ndarray, others: np.ndarray, capacities: np.ndarray
 ) -> np.ndarray:
-    """Equation 7's ``dU/dr_j * dr_j/db_j`` for one bid row or a batch."""
+    """Equation 7's ``dU/dr_j * dr_j/db_j`` for a batch of bid rows."""
     total = bids + others
     with np.errstate(invalid="ignore", divide="ignore"):
         dr_db = np.where(

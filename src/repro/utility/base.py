@@ -2,21 +2,28 @@
 
 The market framework of Section 2 of the paper assumes each player has a
 utility function ``U_i(r_i)`` over a vector of resource allocations that is
-concave, non-decreasing, and continuous.  This module defines the abstract
-interface every utility implementation in this package satisfies, plus
-generic numeric helpers (gradients, concavity probes) shared by the
-parametric and tabulated implementations.
+concave, non-decreasing, and continuous.  This module defines the
+interface every utility implementation in this package satisfies, the
+evaluation counters, and generic numeric helpers (gradients, concavity
+probes).
 
 A :class:`UtilityFunction` maps an allocation vector ``r`` (one entry per
 resource, in resource units such as bytes of cache or watts of power) to a
 scalar utility.  In the multicore instantiation utilities are normalized
 IPC, so values lie in ``[0, 1]``, but the core market code never relies on
 that range.
+
+The market asks for all N players at once, so an implementation is
+batch-first: it overrides ``value_batch`` (or, for a utility that can only
+be evaluated one point at a time, ``value``) and optionally
+``gradient_batch`` or ``gradient``.  The base class derives every entry
+point left out — a scalar call is the one-row case of the batch kernel —
+and counts every evaluation in :data:`EVAL_COUNTERS`.
 """
 
 from __future__ import annotations
 
-import abc
+import functools
 from typing import Dict, Sequence
 
 import numpy as np
@@ -25,6 +32,7 @@ __all__ = [
     "UtilityFunction",
     "EvalCounters",
     "EVAL_COUNTERS",
+    "counted_kernel",
     "numeric_gradient",
     "numeric_gradient_batch",
     "is_concave_on_grid",
@@ -42,19 +50,19 @@ class EvalCounters:
     :class:`~repro.core.equilibrium.EquilibriumResult` can report how many
     Python-level utility evaluations the search cost — benches and
     profilers read the result instead of monkeypatching the utility
-    classes.  Counting semantics:
+    classes.  Every count is made in this module, where a kernel runs:
 
-    * ``scalar_value_calls`` / ``scalar_gradient_calls`` — one per scalar
-      ``value()`` / ``gradient()`` dispatch made through the market seams
-      (``marginal_utility_of_bids``, ``Market.utilities``) or by numeric
-      differentiation, and one per point when a batched entry point has
-      to fall back to the scalar loop.
-    * ``batch_value_calls`` / ``batch_gradient_calls`` — one per
-      *vectorized* dispatch (``value_batch`` / ``gradient_batch`` with a
-      fast override, or a stacked-grid group evaluation), however many
-      points it covers.
-    * ``batch_points`` — total points covered by those vectorized
-      dispatches.
+    * ``batch_value_calls`` / ``batch_gradient_calls`` — one per call of
+      a vectorized kernel (a ``value_batch`` / ``gradient_batch``
+      override, a gradient derived from ``value_batch``, or a
+      stacked-grid group evaluation), however many points it covers.
+      A scalar ``value()`` / ``gradient()`` derived from such a kernel is
+      counted as the one-row dispatches it makes.
+    * ``batch_points`` — total points covered by those vectorized calls.
+    * ``scalar_value_calls`` / ``scalar_gradient_calls`` — one per point
+      of the generic loop that serves a utility implementing only the
+      scalar ``value()`` / ``gradient()``, and two per coordinate of a
+      scalar numeric gradient.
 
     Counters are per-process (each :class:`~repro.exec.SweepExecutor`
     worker tallies its own) and are never consulted by the allocation
@@ -105,32 +113,89 @@ class EvalCounters:
         return delta
 
 
-#: Process-global tally every seam increments.  A plain attribute-bearing
+#: Process-global tally every kernel increments.  A plain attribute-bearing
 #: object (not a dict) so the hot path pays one attribute add per event.
 EVAL_COUNTERS = EvalCounters()
 
 
-class UtilityFunction(abc.ABC):
+def counted_kernel(kind: str):
+    """Decorator counting each call of a vectorized kernel over K points.
+
+    ``kind`` is ``"value"`` or ``"gradient"``; the kernel's first
+    argument after ``self`` is its ``(K, M)`` point matrix.  Applied
+    automatically to the batch methods of :class:`UtilityFunction`
+    subclasses, and by hand to kernels that are not utilities
+    (:class:`~repro.utility.batch.StackedGrids`).
+    """
+    field = f"batch_{kind}_calls"
+
+    def decorate(kernel):
+        @functools.wraps(kernel)
+        def counted(self, points, *args):
+            setattr(EVAL_COUNTERS, field, getattr(EVAL_COUNTERS, field) + 1)
+            EVAL_COUNTERS.batch_points += len(points)
+            return kernel(self, points, *args)
+
+        return counted
+
+    return decorate
+
+
+class UtilityFunction:
     """A concave, non-decreasing, continuous utility over M resources.
 
-    Subclasses must implement :meth:`value`; :meth:`gradient` has a numeric
-    default that subclasses with analytic derivatives should override.
+    Subclasses override :meth:`value_batch` or :meth:`value`, and
+    optionally :meth:`gradient_batch` or :meth:`gradient`; the base
+    derives the rest:
+
+    * a scalar call on a utility with a batch kernel is the one-row case
+      of that kernel;
+    * ``gradient_batch`` of a utility with only ``value_batch`` is the
+      vectorized central difference :func:`numeric_gradient_batch`;
+    * a utility with only scalar methods is batch-callable through a
+      generic loop over them (and its gradient is :func:`numeric_gradient`).
+
+    Every ``value_batch`` / ``gradient_batch`` a subclass defines is
+    counted as one batch call over its points.  Combinators whose batch
+    methods only call other utilities' batch methods declare
+    ``delegates=True`` in their class statement, so one evaluation is
+    counted once, by the utilities doing the work.
     """
 
     #: Number of resources this utility is defined over.
     num_resources: int = 1
 
-    @abc.abstractmethod
+    def __init_subclass__(cls, delegates: bool = False, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if delegates:
+            return
+        for name, kind in (("value_batch", "value"), ("gradient_batch", "gradient")):
+            kernel = cls.__dict__.get(name)
+            if kernel is not None:
+                setattr(cls, name, counted_kernel(kind)(kernel))
+
+    def __new__(cls, *args, **kwargs):
+        if not (_overrides(cls, "value") or _overrides(cls, "value_batch")):
+            raise TypeError(
+                f"can't instantiate {cls.__name__}: it implements neither "
+                "value nor value_batch"
+            )
+        return super().__new__(cls)
+
     def value(self, allocation: Sequence[float]) -> float:
         """Return the utility of ``allocation`` (length ``num_resources``)."""
+        return float(self.value_batch(self._one_row(allocation))[0])
 
     def gradient(self, allocation: Sequence[float]) -> np.ndarray:
         """Return the marginal utility of each resource at ``allocation``.
 
-        The default implementation is a central finite difference that
-        falls back to one-sided differences at the domain boundary (we
-        never evaluate at negative allocations).
+        The one-row case of :meth:`gradient_batch` when the utility has a
+        batch kernel; otherwise a central finite difference of the scalar
+        :meth:`value` (see :func:`numeric_gradient`).
         """
+        cls = type(self)
+        if _overrides(cls, "value_batch") or _overrides(cls, "gradient_batch"):
+            return self.gradient_batch(self._one_row(allocation))[0]
         return numeric_gradient(self.value, allocation)
 
     def marginal(self, allocation: Sequence[float], resource: int) -> float:
@@ -140,13 +205,9 @@ class UtilityFunction(abc.ABC):
     def value_batch(self, allocations: np.ndarray) -> np.ndarray:
         """Utilities of a ``(K, num_resources)`` batch of allocations.
 
-        Returns a ``(K,)`` vector.  Point ``k`` of the result equals
-        ``value(allocations[k])`` exactly — subclasses with vectorized
-        overrides mirror the scalar arithmetic (same clamping, same
-        operation order) so the two paths agree bitwise; the generic
-        fallback here simply loops the scalar method (and counts each
-        point as a scalar evaluation, so batched callers that land on it
-        do not under-report their cost).
+        Returns a ``(K,)`` vector whose point ``k`` is ``value(allocations[k])``.
+        This generic loop serves utilities that implement only the
+        scalar :meth:`value`, counting one scalar evaluation per point.
         """
         points = _as_point_matrix(allocations, self.num_resources)
         EVAL_COUNTERS.scalar_value_calls += points.shape[0]
@@ -155,12 +216,19 @@ class UtilityFunction(abc.ABC):
     def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
         """Per-resource marginals of a ``(K, num_resources)`` batch.
 
-        Returns a ``(K, num_resources)`` matrix; row ``k`` equals
-        ``gradient(allocations[k])`` exactly.  The generic fallback loops
-        the scalar method, so every subclass — including external ones
-        that only implement the scalar interface — is batch-callable.
+        Returns a ``(K, num_resources)`` matrix whose row ``k`` is
+        ``gradient(allocations[k])``.  A utility with a ``value_batch``
+        kernel and no scalar ``gradient`` gets all rows from one
+        :func:`numeric_gradient_batch` (counted as one batch gradient
+        call); otherwise this loops the scalar :meth:`gradient`,
+        counting one scalar evaluation per point.
         """
         points = _as_point_matrix(allocations, self.num_resources)
+        cls = type(self)
+        if _overrides(cls, "value_batch") and not _overrides(cls, "gradient"):
+            EVAL_COUNTERS.batch_gradient_calls += 1
+            EVAL_COUNTERS.batch_points += points.shape[0]
+            return numeric_gradient_batch(self.value_batch, points)
         EVAL_COUNTERS.scalar_gradient_calls += points.shape[0]
         if points.shape[0] == 0:
             return np.zeros_like(points)
@@ -168,6 +236,17 @@ class UtilityFunction(abc.ABC):
 
     def __call__(self, allocation: Sequence[float]) -> float:
         return self.value(allocation)
+
+    def _one_row(self, allocation: Sequence[float]) -> np.ndarray:
+        """``allocation`` as the ``(1, num_resources)`` batch of a scalar call."""
+        return _as_point_matrix(
+            np.asarray(allocation, dtype=float).reshape(1, -1), self.num_resources
+        )
+
+
+def _overrides(cls: type, name: str) -> bool:
+    """True when ``cls`` replaces the base implementation of method ``name``."""
+    return getattr(cls, name) is not getattr(UtilityFunction, name)
 
 
 def _as_point_matrix(allocations: np.ndarray, num_resources: int) -> np.ndarray:

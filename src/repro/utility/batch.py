@@ -1,32 +1,30 @@
-"""Cross-player batched utility evaluation (the hot-loop fast path).
+"""Cross-player batched utility evaluation.
 
-A market clearing evaluates marginal utilities for *every* player at
-every hill-climb step.  The per-player scalar path pays a stack of tiny
-Python/numpy calls per player per step; this module compiles a fixed
-player list into a :class:`BatchedUtilitySet` that answers "gradients of
-players ``I`` at allocations ``A``" in as few vectorized dispatches as
-possible:
+The market asks for the utilities or marginals of every player at once
+(Eq. 2 scoring, Eq. 7 marginals at every hill-climb step).  This module
+compiles a fixed player list into a :class:`BatchedUtilitySet` that
+answers "values / gradients of players ``I`` at allocations ``A``" in as
+few vectorized dispatches as possible:
 
 * **Stacked grids** — :class:`~repro.utility.tabular.GridUtility2D`
   players whose grids share a *shape* (every core of a homogeneous chip,
   i.e. every Fig-4/Fig-5 player — the cache axis is common, the power
   axis is per-app) are stacked into ``(G, nx)`` / ``(G, ny)`` axis
   matrices and one ``(G, nx, ny)`` value tensor.  One vectorized
-  central-difference evaluation then serves the whole group, however
-  many players are active — the dominant-cell case collapses from ``N``
-  numeric gradients (each 2M scalar ``value()`` calls) to two
-  utility-layer dispatches total.
+  evaluation then serves the whole group, however many players are
+  active: a value call is one dispatch, a central-difference gradient
+  two.
 * **Shared objects** — players holding the *same* utility object (the
-  synthetic theory markets) are evaluated with a single
-  ``gradient_batch`` call.
-* **Everything else** — one ``gradient_batch`` call per distinct
-  utility; utilities without a vectorized override fall back to the
-  scalar loop inside :meth:`UtilityFunction.gradient_batch`, so results
-  are always defined (and counted honestly).
+  synthetic theory markets) are evaluated with a single batch call.
+* **Everything else** — one ``value_batch`` / ``gradient_batch`` call
+  per distinct utility; a utility that implements only the scalar
+  interface is served by the generic loop of
+  :class:`~repro.utility.base.UtilityFunction`, so results are always
+  defined (and counted honestly).
 
-Every group path mirrors the scalar arithmetic operation for operation,
-so batched gradients agree bitwise with per-player scalar gradients —
-the property the lockstep bidder's strict mode asserts.
+The stacked kernels are :class:`GridUtility2D`'s elementwise, so row
+``k`` of either method equals the player's own ``value_batch`` /
+``gradient_batch`` at that row bitwise.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .base import EVAL_COUNTERS, UtilityFunction, numeric_gradient_batch
+from .base import UtilityFunction, counted_kernel, numeric_gradient_batch
 from .tabular import GridUtility2D, _bilinear_blend
 
 __all__ = ["BatchedUtilitySet", "StackedGrids"]
@@ -57,17 +55,16 @@ class StackedGrids:
         #: (g * nx + i) * ny + j.
         self._table = self.values.ravel()
 
+    @counted_kernel("value")
     def value_points(self, points: np.ndarray, owners: np.ndarray) -> np.ndarray:
         """Values of ``points[k]`` under grid ``owners[k]``.
 
-        Mirrors :meth:`GridUtility2D.value` (clamp, clamped-index lookup,
-        four-term bilinear blend) elementwise.  The cell index uses a
-        broadcast count ``sum(axis <= x)`` — exactly
+        Mirrors :meth:`GridUtility2D.value_batch` (clamp, clamped-index
+        lookup, four-term bilinear blend) elementwise.  The cell index
+        uses a broadcast count ``sum(axis <= x)`` — exactly
         ``searchsorted(axis, x, side="right")`` for a sorted axis — since
         numpy's searchsorted cannot look up a different axis per point.
         """
-        EVAL_COUNTERS.batch_value_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
         xs = self.xs[owners]                               # (K, nx)
         ys = self.ys[owners]                               # (K, ny)
         xc = np.clip(points[:, 0], xs[:, 0], xs[:, -1])
@@ -82,32 +79,27 @@ class StackedGrids:
         cell = (owners * xs.shape[1] + i) * ny + j
         return _bilinear_blend(self._table, cell, ny, tx, ty)
 
+    @counted_kernel("gradient")
     def gradient_points(self, points: np.ndarray, owners: np.ndarray) -> np.ndarray:
         """Numeric gradients of ``points[k]`` under grid ``owners[k]``.
 
-        :func:`~repro.utility.base.numeric_gradient_batch` (the batched
-        twin of :class:`GridUtility2D`'s scalar numeric gradient) with
-        all ``4K`` probes evaluated in one :meth:`value_points` call.
+        :func:`~repro.utility.base.numeric_gradient_batch`, the gradient
+        :class:`GridUtility2D` derives from its ``value_batch``, with all
+        ``4K`` probes evaluated in one :meth:`value_points` call.
         """
-        EVAL_COUNTERS.batch_gradient_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
         probe_owners = np.tile(owners, 2 * points.shape[1])
         return numeric_gradient_batch(
             lambda probes: self.value_points(probes, probe_owners), points
         )
 
 
-#: Group kinds in a compiled plan.
-_STACKED = 0
-_SHARED = 1
-
-
 class BatchedUtilitySet:
-    """A compiled batched-gradient evaluator for a fixed utility list.
+    """A compiled batched evaluator for a fixed utility list.
 
     Build once per equilibrium search (the player list is fixed for the
     search's lifetime), then call :meth:`gradients` every lockstep
-    iteration with whatever subset of players is still climbing.
+    iteration with whatever subset of players is still climbing, and
+    :meth:`values` to score the players.
     """
 
     def __init__(self, utilities: Sequence[UtilityFunction]):
@@ -118,13 +110,13 @@ class BatchedUtilitySet:
         #: Group index of every player and the player's slot inside it.
         self._group_of = np.empty(len(self.utilities), dtype=np.intp)
         self._slot_of = np.zeros(len(self.utilities), dtype=np.intp)
-        self._groups: List[tuple] = []
+        self._groups: list = []
         self._compile()
 
     def _compile(self) -> None:
         # Stackable 2-D grids, one stack per grid shape (degenerate
-        # single-sample axes take the np.interp branches in the scalar
-        # path, so those grids stay out); same-object grids share a slot.
+        # single-sample axes take the np.interp branches of value_batch,
+        # so those grids stay out); same-object grids share a slot.
         stacks: dict = {}
         remaining: List[int] = []
         for idx, utility in enumerate(self.utilities):
@@ -148,7 +140,7 @@ class BatchedUtilitySet:
 
         for members, _, rows in stacks.values():
             group = len(self._groups)
-            self._groups.append((_STACKED, StackedGrids(members)))
+            self._groups.append(StackedGrids(members))
             self._group_of[rows] = group
 
         # Remaining players: one group per distinct utility object.
@@ -159,38 +151,68 @@ class BatchedUtilitySet:
             if group is None:
                 group = len(self._groups)
                 group_by_id[id(utility)] = group
-                self._groups.append((_SHARED, utility))
+                self._groups.append(utility)
             self._group_of[idx] = group
+
+    def values(
+        self, allocations: np.ndarray, players: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``U_i`` of ``players[k]`` at allocation row ``k``.
+
+        ``allocations`` is ``(K, M)`` with row ``k`` belonging to player
+        ``players[k]`` (default: players ``0..K-1``).  Entry ``k`` of the
+        ``(K,)`` result equals ``utilities[players[k]].value(allocations[k])``
+        bitwise.
+        """
+        allocations = np.asarray(allocations, dtype=float)
+        out = np.empty(allocations.shape[0])
+        for evaluator, rows, owners in self._split(allocations, players):
+            out[rows] = (
+                evaluator.value_batch(allocations[rows])
+                if owners is None
+                else evaluator.value_points(allocations[rows], owners)
+            )
+        return out
 
     def gradients(
         self, allocations: np.ndarray, players: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """``dU_i/dr`` for ``players[k]`` at allocation row ``k``.
 
-        ``allocations`` is ``(K, M)`` with row ``k`` belonging to player
-        ``players[k]`` (default: players ``0..K-1``).  Row ``k`` of the
+        Same row layout as :meth:`values`; row ``k`` of the ``(K, M)``
         result equals ``utilities[players[k]].gradient(allocations[k])``
-        bitwise for every built-in utility family.
+        bitwise.
         """
         allocations = np.asarray(allocations, dtype=float)
+        out = np.empty_like(allocations)
+        for evaluator, rows, owners in self._split(allocations, players):
+            out[rows] = (
+                evaluator.gradient_batch(allocations[rows])
+                if owners is None
+                else evaluator.gradient_points(allocations[rows], owners)
+            )
+        return out
+
+    def _split(self, allocations: np.ndarray, players: Optional[np.ndarray]):
+        """``(evaluator, rows, owners)`` for every group that owns rows.
+
+        ``owners`` are the rows' slots in a :class:`StackedGrids`, and
+        ``None`` for a plain utility.
+        """
         if players is None:
             players = np.arange(allocations.shape[0])
-        out = np.empty_like(allocations)
-        group_of = self._group_of[players]
         if len(self._groups) == 1:
             selections = [np.arange(players.size)]
         else:
+            group_of = self._group_of[players]
             selections = [
                 np.flatnonzero(group_of == g) for g in range(len(self._groups))
             ]
-        for group, rows in zip(self._groups, selections):
-            if rows.size == 0:
-                continue
-            kind, evaluator = group
-            if kind == _STACKED:
-                out[rows] = evaluator.gradient_points(
-                    allocations[rows], self._slot_of[players[rows]]
+        for evaluator, rows in zip(self._groups, selections):
+            if rows.size:
+                owners = (
+                    self._slot_of[players[rows]]
+                    if isinstance(evaluator, StackedGrids)
+                    else None
                 )
-            else:
-                out[rows] = evaluator.gradient_batch(allocations[rows])
-        return out
+                yield evaluator, rows, owners

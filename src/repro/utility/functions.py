@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import EVAL_COUNTERS, UtilityFunction
+from .base import UtilityFunction
 
 __all__ = [
     "LinearUtility",
@@ -43,22 +43,12 @@ class LinearUtility(UtilityFunction):
             raise ValueError("weights must be non-negative")
         self.num_resources = self.weights.size
 
-    def value(self, allocation: Sequence[float]) -> float:
-        return float(np.dot(self.weights, np.asarray(allocation, dtype=float)))
-
-    def gradient(self, allocation: Sequence[float]) -> np.ndarray:
-        return self.weights.copy()
-
     def value_batch(self, allocations: np.ndarray) -> np.ndarray:
         points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_value_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
         return points @ self.weights
 
     def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
         points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_gradient_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
         return np.tile(self.weights, (points.shape[0], 1))
 
     def __repr__(self) -> str:
@@ -79,24 +69,12 @@ class LogUtility(UtilityFunction):
             raise ValueError("weights must be >= 0 and scales > 0")
         self.num_resources = self.weights.size
 
-    def value(self, allocation: Sequence[float]) -> float:
-        r = np.asarray(allocation, dtype=float)
-        return float(np.sum(self.weights * np.log1p(r / self.scales)))
-
-    def gradient(self, allocation: Sequence[float]) -> np.ndarray:
-        r = np.asarray(allocation, dtype=float)
-        return self.weights / (self.scales + r)
-
     def value_batch(self, allocations: np.ndarray) -> np.ndarray:
         points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_value_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
         return np.sum(self.weights * np.log1p(points / self.scales), axis=-1)
 
     def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
         points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_gradient_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
         return self.weights / (self.scales + points)
 
     def __repr__(self) -> str:
@@ -115,26 +93,14 @@ class PowerUtility(UtilityFunction):
             raise ValueError("exponents must lie in (0, 1] for concavity")
         self.num_resources = self.weights.size
 
-    def value(self, allocation: Sequence[float]) -> float:
-        r = np.asarray(allocation, dtype=float)
-        return float(np.sum(self.weights * np.power(np.maximum(r, 0.0), self.exponents)))
-
-    def gradient(self, allocation: Sequence[float]) -> np.ndarray:
-        r = np.maximum(np.asarray(allocation, dtype=float), 1e-12)
-        return self.weights * self.exponents * np.power(r, self.exponents - 1.0)
-
     def value_batch(self, allocations: np.ndarray) -> np.ndarray:
         points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_value_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
         return np.sum(
             self.weights * np.power(np.maximum(points, 0.0), self.exponents), axis=-1
         )
 
     def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
         points = np.maximum(np.asarray(allocations, dtype=float), 1e-12)
-        EVAL_COUNTERS.batch_gradient_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
         return self.weights * self.exponents * np.power(points, self.exponents - 1.0)
 
     def __repr__(self) -> str:
@@ -159,25 +125,12 @@ class CobbDouglasUtility(UtilityFunction):
         self.scale = float(scale)
         self.num_resources = self.elasticities.size
 
-    def value(self, allocation: Sequence[float]) -> float:
-        r = np.maximum(np.asarray(allocation, dtype=float), 0.0)
-        return float(self.scale * np.prod(np.power(r, self.elasticities)))
-
-    def gradient(self, allocation: Sequence[float]) -> np.ndarray:
-        r = np.maximum(np.asarray(allocation, dtype=float), 1e-12)
-        u = self.scale * np.prod(np.power(r, self.elasticities))
-        return u * self.elasticities / r
-
     def value_batch(self, allocations: np.ndarray) -> np.ndarray:
         points = np.maximum(np.asarray(allocations, dtype=float), 0.0)
-        EVAL_COUNTERS.batch_value_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
         return self.scale * np.prod(np.power(points, self.elasticities), axis=-1)
 
     def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
         points = np.maximum(np.asarray(allocations, dtype=float), 1e-12)
-        EVAL_COUNTERS.batch_gradient_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
         u = self.scale * np.prod(np.power(points, self.elasticities), axis=-1)
         return u[:, None] * self.elasticities / points
 
@@ -200,31 +153,19 @@ class SaturatingUtility(UtilityFunction):
             raise ValueError("caps must be positive")
         self.num_resources = self.weights.size
 
-    def value(self, allocation: Sequence[float]) -> float:
-        r = np.asarray(allocation, dtype=float)
-        return float(np.sum(self.weights * np.minimum(r, self.caps) / self.caps))
-
-    def gradient(self, allocation: Sequence[float]) -> np.ndarray:
-        r = np.asarray(allocation, dtype=float)
-        return np.where(r < self.caps, self.weights / self.caps, 0.0)
-
     def value_batch(self, allocations: np.ndarray) -> np.ndarray:
         points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_value_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
         return np.sum(self.weights * np.minimum(points, self.caps) / self.caps, axis=-1)
 
     def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
         points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_gradient_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
         return np.where(points < self.caps, self.weights / self.caps, 0.0)
 
     def __repr__(self) -> str:
         return f"SaturatingUtility(weights={self.weights.tolist()}, caps={self.caps.tolist()})"
 
 
-class AdditiveUtility(UtilityFunction):
+class AdditiveUtility(UtilityFunction, delegates=True):
     """Sum of independent single-resource utilities, one per resource.
 
     Composes 1-D utilities (e.g. a tabulated cache curve and an analytic
@@ -238,18 +179,9 @@ class AdditiveUtility(UtilityFunction):
         self.components = list(components)
         self.num_resources = len(self.components)
 
-    def value(self, allocation: Sequence[float]) -> float:
-        return float(sum(c.value((r,)) for c, r in zip(self.components, allocation)))
-
-    def gradient(self, allocation: Sequence[float]) -> np.ndarray:
-        return np.array(
-            [c.gradient((r,))[0] for c, r in zip(self.components, allocation)]
-        )
-
     def value_batch(self, allocations: np.ndarray) -> np.ndarray:
-        # The components count their own evaluations.
         points = np.asarray(allocations, dtype=float)
-        # Left-to-right accumulation matches the scalar sum() order.
+        # Left to right from zero, the order of a plain sum() of components.
         total = np.zeros(points.shape[0])
         for j, component in enumerate(self.components):
             total = total + component.value_batch(points[:, j : j + 1])
@@ -267,7 +199,7 @@ class AdditiveUtility(UtilityFunction):
         return f"AdditiveUtility({self.components!r})"
 
 
-class ScaledUtility(UtilityFunction):
+class ScaledUtility(UtilityFunction, delegates=True):
     """``U(r) = scale * inner(r) + offset`` — affine wrapper.
 
     Used for normalizing utilities (e.g. to IPC_alone) without touching the
@@ -282,13 +214,6 @@ class ScaledUtility(UtilityFunction):
         self.offset = float(offset)
         self.num_resources = inner.num_resources
 
-    def value(self, allocation: Sequence[float]) -> float:
-        return self.scale * self.inner.value(allocation) + self.offset
-
-    def gradient(self, allocation: Sequence[float]) -> np.ndarray:
-        return self.scale * self.inner.gradient(allocation)
-
-    # The wrapped utility counts the evaluation; the affine map is free.
     def value_batch(self, allocations: np.ndarray) -> np.ndarray:
         return self.scale * self.inner.value_batch(allocations) + self.offset
 

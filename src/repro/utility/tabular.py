@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ..exceptions import MarketConfigurationError
-from .base import EVAL_COUNTERS, UtilityFunction, numeric_gradient_batch
+from .base import UtilityFunction
 from .convex_hull import PiecewiseLinearConcave
 
 __all__ = ["TabularUtility1D", "HullUtility1D", "GridUtility2D", "grid_bilinear_batch"]
@@ -42,31 +42,12 @@ class TabularUtility1D(UtilityFunction):
         if np.any(np.diff(self.xs) <= 0):
             raise ValueError("xs must be strictly increasing")
 
-    def value(self, allocation: Sequence[float]) -> float:
-        x = float(allocation[0])
-        return float(np.interp(x, self.xs, self.ys))
-
-    def gradient(self, allocation: Sequence[float]) -> np.ndarray:
-        x = float(allocation[0])
-        if x >= self.xs[-1] or self.xs.size == 1:
-            return np.array([0.0])
-        if x < self.xs[0]:
-            return np.array([0.0])
-        seg = int(np.searchsorted(self.xs, x, side="right") - 1)
-        seg = min(seg, self.xs.size - 2)
-        slope = (self.ys[seg + 1] - self.ys[seg]) / (self.xs[seg + 1] - self.xs[seg])
-        return np.array([slope])
-
     def value_batch(self, allocations: np.ndarray) -> np.ndarray:
         points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_value_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
         return np.interp(points[:, 0], self.xs, self.ys)
 
     def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
         points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_gradient_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
         x = points[:, 0]
         if self.xs.size == 1:
             return np.zeros_like(points)
@@ -93,22 +74,12 @@ class HullUtility1D(UtilityFunction):
     def __init__(self, xs: Sequence[float], ys: Sequence[float]):
         self.hull = PiecewiseLinearConcave(xs, ys)
 
-    def value(self, allocation: Sequence[float]) -> float:
-        return self.hull.value(float(allocation[0]))
-
-    def gradient(self, allocation: Sequence[float]) -> np.ndarray:
-        return np.array([self.hull.derivative(float(allocation[0]))])
-
     def value_batch(self, allocations: np.ndarray) -> np.ndarray:
         points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_value_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
         return self.hull.value_batch(points[:, 0])
 
     def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
         points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_gradient_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
         return self.hull.derivative_batch(points[:, 0])[:, None]
 
     @property
@@ -144,36 +115,8 @@ class GridUtility2D(UtilityFunction):
             # market and Theorems 1-2 rely on.
             raise MarketConfigurationError("grid values must be finite")
 
-    def value(self, allocation: Sequence[float]) -> float:
-        x = float(np.clip(allocation[0], self.xs[0], self.xs[-1]))
-        y = float(np.clip(allocation[1], self.ys[0], self.ys[-1]))
-        i = int(np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, self.xs.size - 2)) \
-            if self.xs.size > 1 else 0
-        j = int(np.clip(np.searchsorted(self.ys, y, side="right") - 1, 0, self.ys.size - 2)) \
-            if self.ys.size > 1 else 0
-        if self.xs.size == 1 and self.ys.size == 1:
-            return float(self.values[0, 0])
-        if self.xs.size == 1:
-            return float(np.interp(y, self.ys, self.values[0, :]))
-        if self.ys.size == 1:
-            return float(np.interp(x, self.xs, self.values[:, 0]))
-        x0, x1 = self.xs[i], self.xs[i + 1]
-        y0, y1 = self.ys[j], self.ys[j + 1]
-        tx = (x - x0) / (x1 - x0)
-        ty = (y - y0) / (y1 - y0)
-        v00, v01 = self.values[i, j], self.values[i, j + 1]
-        v10, v11 = self.values[i + 1, j], self.values[i + 1, j + 1]
-        return float(
-            v00 * (1 - tx) * (1 - ty)
-            + v10 * tx * (1 - ty)
-            + v01 * (1 - tx) * ty
-            + v11 * tx * ty
-        )
-
     def value_batch(self, allocations: np.ndarray) -> np.ndarray:
         points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_value_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
         if self.xs.size == 1 and self.ys.size == 1:
             return np.full(points.shape[0], float(self.values[0, 0]))
         xc = np.clip(points[:, 0], self.xs[0], self.xs[-1])
@@ -183,15 +126,6 @@ class GridUtility2D(UtilityFunction):
         if self.ys.size == 1:
             return np.interp(xc, self.xs, self.values[:, 0])
         return grid_bilinear_batch(self.xs, self.ys, self.values, xc, yc)
-
-    def gradient_batch(self, allocations: np.ndarray) -> np.ndarray:
-        # The scalar gradient is the generic numeric differentiator over
-        # value(); mirror it exactly, with all probe points evaluated in
-        # one vectorized value_batch dispatch.
-        points = np.asarray(allocations, dtype=float)
-        EVAL_COUNTERS.batch_gradient_calls += 1
-        EVAL_COUNTERS.batch_points += points.shape[0]
-        return numeric_gradient_batch(self.value_batch, points)
 
     def __repr__(self) -> str:
         return f"GridUtility2D({self.xs.size}x{self.ys.size} grid)"
@@ -206,10 +140,9 @@ def grid_bilinear_batch(
 ) -> np.ndarray:
     """Bilinear interpolation of pre-clamped points, vectorized.
 
-    This is :meth:`GridUtility2D.value` applied elementwise — identical
-    clamped-index lookups and the identical four-term blend, so results
-    agree bitwise with the scalar path.  ``values`` is ``(nx, ny)``;
-    both axes must have at least two samples.
+    The kernel of :meth:`GridUtility2D.value_batch`: a clamped cell
+    lookup per point, then the four-term blend.  ``values`` is
+    ``(nx, ny)``; both axes must have at least two samples.
     """
     i = np.clip(np.searchsorted(xs, xc, side="right") - 1, 0, xs.size - 2)
     j = np.clip(np.searchsorted(ys, yc, side="right") - 1, 0, ys.size - 2)
@@ -221,11 +154,12 @@ def grid_bilinear_batch(
 def _bilinear_blend(
     table: np.ndarray, cell: np.ndarray, stride: int, tx: np.ndarray, ty: np.ndarray
 ) -> np.ndarray:
-    """The four-term blend of grid cells, same order as :meth:`GridUtility2D.value`.
+    """The four-term bilinear blend of grid cells.
 
     ``table`` is a flattened C-order value grid with ``stride`` samples
     per row and ``cell`` the flat index of each cell's low corner, so
-    one lookup serves a single grid and a stack of same-shape grids.
+    one lookup serves a single grid and a stack of same-shape grids, and
+    both sum the four terms in the same order (bitwise equal results).
     """
     v00, v01 = table[cell], table[cell + 1]
     v10, v11 = table[cell + stride], table[cell + (stride + 1)]

@@ -35,6 +35,24 @@ class TestGroupUtility:
         u = GroupUtility([LinearUtility([2.0, 1.0]), LinearUtility([4.0, 3.0])])
         np.testing.assert_allclose(u.gradient([4.0, 2.0]), [3.0, 2.0])
 
+    def test_batch_form_matches_scalar_member_sum_bitwise(self, chip):
+        members = chip.true_core_utilities(True)[:3]
+        group = GroupUtility(members)
+        rng = np.random.default_rng(5)
+        capacities = [chip.extra_cache_capacity, chip.extra_power_capacity]
+        points = rng.uniform(0.0, 1.0, size=(6, 2)) * capacities
+        values, gradients = [], []
+        for point in points:
+            # Oracle: the per-point scalar sum over members, left to right.
+            share = point / len(members)
+            values.append(float(sum(u.value(share) for u in members)))
+            total = np.zeros(2)
+            for u in members:
+                total += np.asarray(u.gradient(share), dtype=float)
+            gradients.append(total / len(members))
+        assert np.array_equal(group.value_batch(points), values)
+        assert np.array_equal(group.gradient_batch(points), gradients)
+
     def test_validation(self):
         with pytest.raises(MarketConfigurationError):
             GroupUtility([])

@@ -14,7 +14,13 @@ from repro.core import (
     standard_mechanism_suite,
 )
 from repro.exceptions import MarketConfigurationError
-from repro.utility import CobbDouglasUtility, LogUtility, SaturatingUtility
+from repro.utility import (
+    EVAL_COUNTERS,
+    CobbDouglasUtility,
+    GridUtility2D,
+    LogUtility,
+    SaturatingUtility,
+)
 
 
 @pytest.fixture
@@ -31,6 +37,23 @@ def synthetic_problem():
         player_names=["a", "b", "c"],
         quanta=np.array([0.25, 0.25]),
     )
+
+
+def _grid_problem(**overrides):
+    """Three GridUtility2D players over (cache, power), fields overridable."""
+    xs = np.linspace(0.0, 4.0, 5)
+    ys = np.linspace(0.0, 2.0, 3)
+    fields = dict(
+        utilities=[
+            GridUtility2D(xs, ys, np.sqrt(1.0 + xs[:, None]) * np.log1p(k + ys[None, :]))
+            for k in (1.0, 2.0, 3.0)
+        ],
+        capacities=np.array([4.0, 2.0]),
+        resource_names=["cache", "power"],
+        player_names=["a", "b", "c"],
+    )
+    fields.update(overrides)
+    return AllocationProblem(**fields)
 
 
 class TestAllocationProblem:
@@ -58,6 +81,38 @@ class TestAllocationProblem:
                 resource_names=["x", "y"],
                 player_names=["p"],
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "mechanism", standard_mechanism_suite(), ids=lambda m: m.name
+    )
+    def test_bad_capacity_never_reaches_a_mechanism(self, mechanism, bad):
+        # Unchecked, a NaN capacity scored NaN efficiency and EF, and an
+        # infinite or non-positive one scored EF 1.0.
+        with pytest.raises(MarketConfigurationError, match="capacities"):
+            mechanism.allocate(_grid_problem(capacities=np.array([4.0, bad])))
+
+    @pytest.mark.parametrize(
+        "quanta",
+        [[np.nan, 0.5], [np.inf, 0.5], [0.0, 0.5], [-1.0, 0.5], [0.5], [[0.5, 0.5]]],
+    )
+    def test_rejects_bad_quanta(self, quanta):
+        with pytest.raises(MarketConfigurationError, match="quanta"):
+            _grid_problem(quanta=np.array(quanta))
+
+    @pytest.mark.parametrize(
+        "caps",
+        [
+            [[1.0, 1.0], [1.0, np.nan], [1.0, 1.0]],
+            [[1.0, 1.0], [np.inf, 1.0], [1.0, 1.0]],
+            [[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]],
+            [[1.0, 1.0], [1.0, 1.0]],
+            [1.0, 1.0],
+        ],
+    )
+    def test_rejects_bad_per_player_caps(self, caps):
+        with pytest.raises(MarketConfigurationError, match="per_player_caps"):
+            _grid_problem(per_player_caps=np.array(caps))
 
     def test_build_market(self, synthetic_problem):
         market = synthetic_problem.build_market([10.0, 20.0, 30.0])
@@ -176,6 +231,19 @@ class TestConstructionErrors:
     def test_rejects_non_positive_or_non_finite_budget(self, make, budget):
         with pytest.raises(MarketConfigurationError):
             make(budget=budget)
+
+
+class TestEvaluationPath:
+    def test_standard_suite_makes_no_scalar_utility_calls(self, bbpc_problem):
+        # Every mechanism of Figures 4/5 scores and climbs through batch
+        # kernels on a chip problem; a scalar call would mean a
+        # one-player-at-a-time loop crept back in.
+        before = EVAL_COUNTERS.snapshot()
+        for mechanism in standard_mechanism_suite():
+            mechanism.allocate(bbpc_problem)
+        delta = EVAL_COUNTERS.since(before)
+        assert delta["scalar_calls"] == 0
+        assert delta["batch_calls"] > 0
 
 
 class TestMaxEfficiency:

@@ -14,8 +14,8 @@ from repro.core import (
     price_of_anarchy,
 )
 from repro.cmp import ChipModel, cmp_64core
-from repro.core import EqualShare
 from repro.core.mechanisms import AllocationProblem
+from repro.exceptions import MarketConfigurationError
 from repro.utility import LinearUtility, UtilityFunction
 from repro.workloads import generate_bundles
 
@@ -145,15 +145,16 @@ class TestEnvyFreenessNaN:
         assert np.isnan(envy_freeness(utilities, allocations))
 
     def test_nan_capacity_through_a_mechanism(self):
-        problem = AllocationProblem(
-            utilities=[LinearUtility([1.0, 1.0]), LinearUtility([2.0, 0.5])],
-            capacities=np.array([4.0, np.nan]),
-            resource_names=["cache", "power"],
-            player_names=["a", "b"],
-        )
-        result = EqualShare().allocate(problem)
-        assert np.isnan(result.efficiency)
-        assert result.envy_freeness != 1.0 and np.isnan(result.envy_freeness)
+        # A NaN capacity never reaches a mechanism: the problem rejects
+        # it at construction (the NaN propagation of envy_freeness itself
+        # is covered by the matrix tests above).
+        with pytest.raises(MarketConfigurationError, match="capacities"):
+            AllocationProblem(
+                utilities=[LinearUtility([1.0, 1.0]), LinearUtility([2.0, 0.5])],
+                capacities=np.array([4.0, np.nan]),
+                resource_names=["cache", "power"],
+                player_names=["a", "b"],
+            )
 
 
 class TestPriceOfAnarchy:

@@ -9,7 +9,7 @@ import pytest
 from repro.core import max_efficiency_allocation
 from repro.exceptions import MarketConfigurationError
 from repro.utility import GridUtility2D, LinearUtility, LogUtility, SaturatingUtility
-from repro.utility.base import UtilityFunction
+from repro.utility.base import EVAL_COUNTERS, UtilityFunction
 
 
 class TestGreedyOptimum:
@@ -394,9 +394,14 @@ class TestLatticeEvaluations:
         # point, exactly at the points the scalar walk probes.
         utilities, capacities, quanta, caps = _random_grid_problem(4)
         counting = [_ScalarCounting(u) for u in utilities]
+        before = EVAL_COUNTERS.snapshot()
         out = max_efficiency_allocation(counting, capacities, quanta, per_player_caps=caps)
+        delta = EVAL_COUNTERS.since(before)
         *expected, probes = _oracle(utilities, capacities, quanta, caps)
         assert out.allocations.tobytes() == expected[0].tobytes()
         for u, probed in zip(counting, probes):
             assert len(set(u.points)) == len(u.points)
             assert set(u.points) == probed
+        # One-point tiles: the generic loop counts one scalar evaluation
+        # per probe, where a 1024-point tile would count them all.
+        assert delta["scalar_value_calls"] == sum(len(u.points) for u in counting)

@@ -202,6 +202,18 @@ class TestGenericFallback:
         assert delta["scalar_value_calls"] == NONNEG_2D.shape[0]
         assert delta["batch_calls"] == 0
 
+    def test_scalar_call_counts_its_one_row_kernel(self):
+        # A scalar call on a batch-first utility is the one-row case of
+        # its kernels: a grid gradient is one gradient and one value
+        # dispatch over a single point, and no scalar evaluation.
+        u = make_grid(2)
+        before = EVAL_COUNTERS.snapshot()
+        u.gradient(POINTS_2D[2])
+        delta = EVAL_COUNTERS.since(before)
+        assert delta["batch_gradient_calls"] == 1
+        assert delta["batch_value_calls"] == 1
+        assert delta["scalar_calls"] == 0
+
     def test_fast_override_counts_batch_not_scalar(self):
         u = make_grid(2)
         before = EVAL_COUNTERS.snapshot()
@@ -322,8 +334,10 @@ class TestBatchedUtilitySet:
         rng = np.random.default_rng(3)
         allocations = rng.uniform(0.0, 3.0, size=(len(utilities), 2))
         out = evaluator.gradients(allocations)
+        values = evaluator.values(allocations)
         for i, utility in enumerate(utilities):
             assert np.array_equal(out[i], utility.gradient(allocations[i])), i
+            assert values[i] == utility.value(allocations[i]), i
 
     def test_player_subset(self):
         utilities = [make_grid(seed) for seed in range(4)] + [
@@ -333,8 +347,10 @@ class TestBatchedUtilitySet:
         players = np.array([4, 1, 3])
         allocations = np.array([[1.0, 0.5], [2.0, 1.0], [0.0, 0.0]])
         out = evaluator.gradients(allocations, players=players)
+        values = evaluator.values(allocations, players=players)
         for k, i in enumerate(players):
             assert np.array_equal(out[k], utilities[i].gradient(allocations[k]))
+            assert values[k] == utilities[i].value(allocations[k])
 
     def test_duplicate_player_rows(self):
         # The same player may appear on several rows (probe batches).
