@@ -23,6 +23,7 @@ and ``benchmarks/test_warmstart.py`` both feed from it.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
@@ -70,7 +71,9 @@ class ColdVsWarmProbe:
     is concerned (``name``, ``allocate``, ``reset_warm_state``).  The
     warm mechanism's result is returned, so the simulated trajectory is
     the warm one; the cold mechanism is rebuilt from ``factory`` on
-    every call so it can never carry state.
+    every call so it can never carry state, and solves a copy of the
+    problem so the warm mechanism's cold first epoch cannot take its
+    search from the problem's cold-equilibrium memo.
     """
 
     def __init__(self, factory: Callable[[], AllocationMechanism]):
@@ -90,7 +93,7 @@ class ColdVsWarmProbe:
     def allocate(self, problem: AllocationProblem) -> MechanismResult:
         cold_mechanism = self.factory()
         t0 = time.perf_counter()
-        cold = cold_mechanism.allocate(problem)
+        cold = cold_mechanism.allocate(dataclasses.replace(problem))
         t1 = time.perf_counter()
         warm = self.warm_mechanism.allocate(problem)
         t2 = time.perf_counter()

@@ -30,13 +30,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ..exceptions import MarketConfigurationError
 from ..utility.base import UtilityFunction
 from ..utility.batch import BatchedUtilitySet
-from .player import (
-    bid_to_allocation,
-    marginal_utility_of_bids,
-    marginal_utility_of_bids_batch,
-)
+from .player import bid_to_allocation, marginal_utility_of_bids
 
 __all__ = [
     "LOCKSTEP_TOLERANCE",
@@ -133,6 +130,15 @@ class BiddingStrategy(abc.ABC):
                 self.last_fresh[i] = True
         return bids
 
+    def memo_key(self) -> Optional[tuple]:
+        """What besides the market fixes this strategy's cold equilibria.
+
+        A hashable tuple lets :class:`~repro.core.equilibrium.ColdEquilibria`
+        reuse a cold search made with an equally configured bidder;
+        ``None`` (the default) means never memoise.
+        """
+        return None
+
     @staticmethod
     def warm_start_bids(
         current_bids: np.ndarray | None, budget: float, num_resources: int
@@ -192,7 +198,13 @@ class HillClimbBidder(BiddingStrategy):
 
     def __init__(self, lambda_tolerance: float = 0.05, step_stop_fraction: float = 0.01):
         self.lambda_tolerance = lambda_tolerance
-        self.step_stop_fraction = step_stop_fraction
+        self.step_stop_fraction = _checked_step_stop(step_stop_fraction)
+
+    def memo_key(self) -> Optional[tuple]:
+        # Exact types only: a subclass may carry state this key misses.
+        if type(self) not in (HillClimbBidder, VectorHillClimbBidder):
+            return None
+        return (type(self).__name__, self.lambda_tolerance, self.step_stop_fraction)
 
     def _stale(
         self,
@@ -348,9 +360,8 @@ class VectorHillClimbBidder(HillClimbBidder):
             # Batched staleness probe: one vectorized marginal evaluation
             # replaces one scalar gradient call per hinted player.
             rows = np.asarray(hinted, dtype=np.intp)
-            marginals = marginal_utility_of_bids_batch(
-                bids[rows], others[rows], capacities,
-                evaluator=evaluator, players=rows,
+            marginals = evaluator.marginals(
+                bids[rows], others[rows], capacities, rows
             )
             donors = bids[rows] > 1e-12
             has_donor = donors.any(axis=1)
@@ -367,9 +378,8 @@ class VectorHillClimbBidder(HillClimbBidder):
         active = (budgets > 0.0) & (step >= min_step)
         while np.any(active):
             rows = np.flatnonzero(active)
-            marginals = marginal_utility_of_bids_batch(
-                bids[rows], others[rows], capacities,
-                evaluator=evaluator, players=rows,
+            marginals = evaluator.marginals(
+                bids[rows], others[rows], capacities, rows
             )
             self.last_marginals_all[rows] = marginals
             self.last_fresh[rows] = True
@@ -481,7 +491,7 @@ class PriceTakingBidder(BiddingStrategy):
 
     def __init__(self, lambda_tolerance: float = 0.05, step_stop_fraction: float = 0.01):
         self.lambda_tolerance = lambda_tolerance
-        self.step_stop_fraction = step_stop_fraction
+        self.step_stop_fraction = _checked_step_stop(step_stop_fraction)
 
     def optimize(
         self,
@@ -528,6 +538,20 @@ class PriceTakingBidder(BiddingStrategy):
             marginals_at,
         )
         return bids
+
+
+def _checked_step_stop(fraction: float) -> float:
+    """``fraction`` as a float, rejecting what would stop no climb.
+
+    The climb halves its step until it falls below ``fraction`` of the
+    budget; at zero, below zero or NaN that never happens.
+    """
+    fraction = float(fraction)
+    if not (np.isfinite(fraction) and fraction > 0.0):
+        raise MarketConfigurationError(
+            f"step_stop_fraction must be positive and finite, got {fraction!r}"
+        )
+    return fraction
 
 
 def _climb(

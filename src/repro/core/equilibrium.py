@@ -22,27 +22,38 @@ fires on the first round when the warm bids still clear the market —
 so a warm-started search over an unchanged (or slowly drifting) problem
 terminates after a single verification round instead of a full cold
 search.
+
+Cold equilibria
+---------------
+A cold search — no warm start, no initial bids, Jacobi rounds — is a
+pure function of the market and the search's settings.  ReBudget starts
+every reassignment at equal budgets (Section 4.2), so its first round is
+the very search EqualBudget runs on the same problem.
+:class:`ColdEquilibria` remembers each distinct cold search of one
+problem and hands every later caller a private copy of its result.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from ..exceptions import MarketConfigurationError
 from ..qa import sanitize as _sanitize
 from ..utility.base import EVAL_COUNTERS
 from ..utility.batch import BatchedUtilitySet
 from .bidding import BiddingStrategy, VectorHillClimbBidder
 from .market import Market, MarketState
-from .player import marginal_utility_of_bids_batch
 
 __all__ = [
     "PRICE_TOLERANCE",
     "MAX_ITERATIONS",
     "WarmStart",
     "EquilibriumResult",
+    "ColdEquilibria",
     "find_equilibrium",
 ]
 
@@ -216,6 +227,12 @@ def find_equilibrium(
         bidder = VectorHillClimbBidder()
     if update not in ("jacobi", "gauss-seidel"):
         raise ValueError(f"unknown update mode {update!r}")
+    if max_iterations < 1:
+        # Zero rounds would return the equal split's lambdas as if they
+        # were an equilibrium's.
+        raise MarketConfigurationError(
+            f"max_iterations must be at least 1, got {max_iterations!r}"
+        )
 
     capacities = market.capacities
     counters_at_entry = EVAL_COUNTERS.snapshot()
@@ -373,6 +390,49 @@ def find_equilibrium(
     )
 
 
+class ColdEquilibria:
+    """The cold Jacobi equilibria already found on one problem.
+
+    Lives on an :class:`~repro.core.mechanisms.AllocationProblem` (its
+    ``cold_equilibria``), so a result never outlives the problem it
+    solves.  The key is everything else a cold search depends on: the
+    budgets (bitwise), the bidder's :meth:`~repro.core.bidding.BiddingStrategy.memo_key`,
+    ``max_iterations`` and ``price_tolerance``.  A bidder without a key
+    is never memoised.
+    """
+
+    def __init__(self) -> None:
+        self._found: Dict[tuple, EquilibriumResult] = {}
+
+    def solve(
+        self,
+        search: Callable[..., EquilibriumResult],
+        market: Market,
+        bidder: BiddingStrategy,
+        max_iterations: int = MAX_ITERATIONS,
+        price_tolerance: float = PRICE_TOLERANCE,
+    ) -> EquilibriumResult:
+        """The cold equilibrium of ``market`` (built from this memo's problem).
+
+        ``search`` is :func:`find_equilibrium` as the caller looks it
+        up; it runs on the first request for a key, and every later one
+        gets a deep copy of that result, whose ``eval_counts`` are the
+        first search's.
+        """
+        key = bidder.memo_key()
+        if key is not None:
+            key = (market.budgets.tobytes(), key, max_iterations, price_tolerance)
+            if key in self._found:
+                return copy.deepcopy(self._found[key])
+        result = search(
+            market, bidder=bidder, max_iterations=max_iterations,
+            price_tolerance=price_tolerance,
+        )
+        if key is not None:
+            self._found[key] = copy.deepcopy(result)
+        return result
+
+
 def _final_lambdas(
     bids: np.ndarray,
     capacities: np.ndarray,
@@ -394,9 +454,7 @@ def _final_lambdas(
     """
     if marginals is None:
         totals = bids.sum(axis=0)
-        marginals = marginal_utility_of_bids_batch(
-            bids, totals[None, :] - bids, capacities, evaluator=evaluator
-        )
+        marginals = evaluator.marginals(bids, totals[None, :] - bids, capacities)
     active = bids > 1e-12
     has_active = active.any(axis=1)
     over_active = np.where(active, marginals, -np.inf).max(axis=1)

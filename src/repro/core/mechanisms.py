@@ -28,7 +28,7 @@ from ..qa import sanitize as _sanitize
 from ..utility.base import UtilityFunction
 from ..utility.batch import BatchedUtilitySet
 from .bidding import BiddingStrategy, VectorHillClimbBidder
-from .equilibrium import EquilibriumResult, WarmStart, find_equilibrium
+from .equilibrium import ColdEquilibria, EquilibriumResult, WarmStart, find_equilibrium
 from .market import Market
 from .metrics import (
     efficiency as efficiency_metric,
@@ -69,6 +69,11 @@ class AllocationProblem:
     ``resource_names``) to player ``i``'s utility.  In the multicore
     instantiation the vectors are *extra* resources beyond each core's
     free minimum, and the utilities already fold the free minimum in.
+
+    ``cold_equilibria`` memoises the cold equilibrium searches made on
+    this problem (:class:`~repro.core.equilibrium.ColdEquilibria`): the
+    mechanisms that start from equal budgets share one search, and the
+    memo goes away with the problem.
     """
 
     utilities: List[UtilityFunction]
@@ -77,6 +82,9 @@ class AllocationProblem:
     player_names: Sequence[str]
     quanta: Optional[np.ndarray] = None
     per_player_caps: Optional[np.ndarray] = None
+    cold_equilibria: ColdEquilibria = field(
+        default_factory=ColdEquilibria, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.capacities = np.asarray(self.capacities, dtype=float)
@@ -325,14 +333,22 @@ class EqualBudget(AllocationMechanism):
 
     def allocate(self, problem: AllocationProblem) -> MechanismResult:
         market = problem.build_market([self.budget] * problem.num_players)
-        eq = find_equilibrium(
-            market,
-            bidder=self.bidder,
-            warm_start=self._warm_start_for(problem) if self.warm else None,
+        return self._result_from_equilibrium(
+            problem, market, self._equilibrium(problem, market)
         )
+
+    def _equilibrium(
+        self, problem: AllocationProblem, market: Market
+    ) -> EquilibriumResult:
+        """Warm search from the carried state, else the problem's cold one."""
+        warm_start = self._warm_start_for(problem) if self.warm else None
+        if warm_start is None:
+            eq = problem.cold_equilibria.solve(find_equilibrium, market, self.bidder)
+        else:
+            eq = find_equilibrium(market, bidder=self.bidder, warm_start=warm_start)
         if self.warm:
             self._store_warm_state(problem, eq.warm_start)
-        return self._result_from_equilibrium(problem, market, eq)
+        return eq
 
     def _result_from_equilibrium(
         self, problem: AllocationProblem, market: Market, eq: EquilibriumResult
@@ -385,15 +401,12 @@ class BalancedBudget(EqualBudget):
             budgets = self.budget * np.maximum(potentials / top, 0.05)
         market = problem.build_market(budgets)
         # The warm bids were computed for the previous epoch's budgets;
-        # find_equilibrium rescales each row to the fresh ones.
-        eq = find_equilibrium(
-            market,
-            bidder=self.bidder,
-            warm_start=self._warm_start_for(problem) if self.warm else None,
+        # find_equilibrium rescales each row to the fresh ones.  With no
+        # potential anywhere the budgets are equal and the cold search
+        # is EqualBudget's.
+        return self._result_from_equilibrium(
+            problem, market, self._equilibrium(problem, market)
         )
-        if self.warm:
-            self._store_warm_state(problem, eq.warm_start)
-        return self._result_from_equilibrium(problem, market, eq)
 
 
 class ReBudgetMechanism(AllocationMechanism):
@@ -440,6 +453,7 @@ class ReBudgetMechanism(AllocationMechanism):
             self.config,
             bidder=self.bidder,
             warm_start=self._warm_start_for(problem) if self.warm else None,
+            cold_equilibria=problem.cold_equilibria,
         )
         if self.warm:
             # Budgets restart from an equal split every epoch, so the

@@ -9,13 +9,14 @@ local, which is what makes the mechanism distributed and scalable.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..exceptions import MarketConfigurationError
 from ..qa import sanitize as _sanitize
 from ..utility.base import UtilityFunction
+from ..utility.batch import bid_marginals
 
 __all__ = [
     "Player",
@@ -23,11 +24,6 @@ __all__ = [
     "marginal_utility_of_bids",
     "marginal_utility_of_bids_batch",
 ]
-
-#: Finite stand-in for the infinite first-bid marginal (``y_j == 0``):
-#: large enough to dominate any real marginal, scaled by capacity so the
-#: bytes-vs-watts resources keep their relative ordering.
-_FIRST_BID_RATE = 1e9
 
 
 class Player:
@@ -100,7 +96,7 @@ def marginal_utility_of_bids(
         np.asarray(bids, dtype=float)[None, :],
         np.asarray(others, dtype=float)[None, :],
         capacities,
-        utility=utility,
+        utility,
     )[0]
 
 
@@ -108,47 +104,17 @@ def marginal_utility_of_bids_batch(
     bids: np.ndarray,
     others: np.ndarray,
     capacities: np.ndarray,
-    *,
-    utility: Optional[UtilityFunction] = None,
-    evaluator=None,
-    players: Optional[np.ndarray] = None,
+    utility: UtilityFunction,
 ) -> np.ndarray:
-    """Equation 7 marginals for a ``(K, M)`` batch of bid rows.
+    """Equation 7 marginals of one ``utility`` for a ``(K, M)`` batch of bid rows.
 
     Row ``k`` is Equation 7 for bid row ``k`` against ``others[k]`` (see
-    :func:`marginal_utility_of_bids`).  Callers either pass a shared
-    ``utility`` (all rows belong to the same player) or an ``evaluator``
-    — a :class:`~repro.utility.batch.BatchedUtilitySet` — plus the
-    ``players`` row-ownership vector it should evaluate each allocation
-    row under (the multi-player lockstep case).
+    :func:`~repro.utility.batch.bid_marginals`), with ``dU/dr`` from the
+    utility's own ``gradient_batch``.  Rows of several players go
+    through :meth:`~repro.utility.batch.BatchedUtilitySet.marginals`.
     """
-    allocations = bid_to_allocation(bids, others, capacities)
-    if evaluator is not None:
-        du_dr = evaluator.gradients(allocations, players)
-    elif utility is not None:
-        du_dr = np.asarray(utility.gradient_batch(allocations), dtype=float)
-    else:
-        raise ValueError("pass either a utility or a batched evaluator")
-    return _chain_rule(du_dr, bids, others, capacities)
 
+    def gradients(allocations: np.ndarray) -> np.ndarray:
+        return np.asarray(utility.gradient_batch(allocations), dtype=float)
 
-def _chain_rule(
-    du_dr: np.ndarray, bids: np.ndarray, others: np.ndarray, capacities: np.ndarray
-) -> np.ndarray:
-    """Equation 7's ``dU/dr_j * dr_j/db_j`` for a batch of bid rows."""
-    total = bids + others
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dr_db = np.where(
-            total > 0.0,
-            others * capacities / np.where(total > 0.0, total, 1.0) ** 2,
-            # A first bid on an un-bid resource captures all of it; treat
-            # the marginal as the utility slope times full capture rate.
-            np.inf,
-        )
-    # Replace the infinite first-bid marginals with a large finite value
-    # proportional to the utility slope so comparisons stay meaningful.
-    dr_db = np.where(np.isinf(dr_db), capacities * _FIRST_BID_RATE, dr_db)
-    marginals = du_dr * dr_db
-    if _sanitize.ACTIVE:
-        _sanitize.check_marginals(marginals)
-    return marginals
+    return bid_marginals(bids, others, capacities, gradients)

@@ -26,7 +26,13 @@ import numpy as np
 from ..exceptions import MarketConfigurationError
 from ..qa import sanitize as _sanitize
 from .bidding import BiddingStrategy, VectorHillClimbBidder
-from .equilibrium import MAX_ITERATIONS, EquilibriumResult, WarmStart, find_equilibrium
+from .equilibrium import (
+    MAX_ITERATIONS,
+    ColdEquilibria,
+    EquilibriumResult,
+    WarmStart,
+    find_equilibrium,
+)
 from .market import Market
 from .metrics import market_budget_range, market_utility_range
 from .theory import ef_lower_bound, min_mbr_for_envy_freeness
@@ -62,6 +68,14 @@ class ReBudgetConfig:
             raise MarketConfigurationError("lambda threshold must lie in (0, 1)")
         if not 0.0 < self.backoff < 1.0:
             raise MarketConfigurationError("backoff must lie in (0, 1)")
+        # Zero rounds leave no final equilibrium; zero pricing rounds
+        # return the equal split's lambdas as an equilibrium's.
+        if self.max_rounds < 1:
+            raise MarketConfigurationError("max_rounds must be at least 1")
+        if self.equilibrium_max_iterations < 1:
+            raise MarketConfigurationError(
+                "equilibrium_max_iterations must be at least 1"
+            )
 
         floor = 0.0
         if self.min_envy_freeness is not None:
@@ -143,6 +157,7 @@ def run_rebudget(
     config: Optional[ReBudgetConfig] = None,
     bidder: Optional[BiddingStrategy] = None,
     warm_start: Optional[WarmStart] = None,
+    cold_equilibria: Optional[ColdEquilibria] = None,
 ) -> ReBudgetResult:
     """Execute the ReBudget loop on ``market``.
 
@@ -154,7 +169,10 @@ def run_rebudget(
     ``warm_start`` seeds the *first* round's equilibrium search — in the
     epoch simulator this is the previous epoch's equal-budget
     equilibrium.  Every subsequent round is seeded from the previous
-    round's equilibrium, rescaled to the post-cut budgets.
+    round's equilibrium, rescaled to the post-cut budgets.  Without one,
+    the first round is a cold search at equal budgets, taken from
+    ``cold_equilibria`` — the memo of the problem ``market`` was built
+    from — when given.
     """
     config = config or ReBudgetConfig()
     bidder = bidder or VectorHillClimbBidder()
@@ -169,12 +187,20 @@ def run_rebudget(
     round_warm: Optional[WarmStart] = warm_start
     step_exhausted = False
     for round_index in range(config.max_rounds):
-        equilibrium = find_equilibrium(
-            market,
-            bidder=bidder,
-            warm_start=round_warm,
-            max_iterations=config.equilibrium_max_iterations,
-        )
+        if round_warm is None and cold_equilibria is not None:
+            equilibrium = cold_equilibria.solve(
+                find_equilibrium,
+                market,
+                bidder,
+                max_iterations=config.equilibrium_max_iterations,
+            )
+        else:
+            equilibrium = find_equilibrium(
+                market,
+                bidder=bidder,
+                warm_start=round_warm,
+                max_iterations=config.equilibrium_max_iterations,
+            )
         lambdas = equilibrium.lambdas
         budgets = market.budgets
         cut_players: List[int] = []

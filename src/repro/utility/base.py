@@ -32,9 +32,11 @@ __all__ = [
     "UtilityFunction",
     "EvalCounters",
     "EVAL_COUNTERS",
+    "count_batch",
     "counted_kernel",
     "numeric_gradient",
     "numeric_gradient_batch",
+    "central_difference",
     "is_concave_on_grid",
     "is_nondecreasing_on_grid",
 ]
@@ -127,18 +129,30 @@ def counted_kernel(kind: str):
     subclasses, and by hand to kernels that are not utilities
     (:class:`~repro.utility.batch.StackedGrids`).
     """
-    field = f"batch_{kind}_calls"
 
     def decorate(kernel):
         @functools.wraps(kernel)
         def counted(self, points, *args):
-            setattr(EVAL_COUNTERS, field, getattr(EVAL_COUNTERS, field) + 1)
-            EVAL_COUNTERS.batch_points += len(points)
+            count_batch(kind, len(points))
             return kernel(self, points, *args)
 
         return counted
 
     return decorate
+
+
+def count_batch(kind: str, points: int) -> None:
+    """Count one vectorized ``kind`` kernel call over ``points`` points.
+
+    The one counting rule behind :func:`counted_kernel`, also called
+    directly by a fused kernel for the probe evaluation it makes inside
+    a counted gradient call.
+    """
+    if kind == "value":
+        EVAL_COUNTERS.batch_value_calls += 1
+    else:
+        EVAL_COUNTERS.batch_gradient_calls += 1
+    EVAL_COUNTERS.batch_points += points
 
 
 class UtilityFunction:
@@ -290,42 +304,53 @@ def numeric_gradient_batch(
 ) -> np.ndarray:
     """Vectorized central-difference gradients at a ``(K, M)`` batch.
 
+    :func:`central_difference` with all ``2 * K * M`` probe points
+    evaluated in a single ``value_batch`` dispatch over a ``(2KM, M)``
+    matrix.
+    """
+    points = np.asarray(points, dtype=float)
+    shape = (2,) + points.shape[::-1]                       # (2, M, K)
+
+    def probe_values(probes: np.ndarray) -> np.ndarray:
+        flat = probes.reshape(-1, points.shape[1])
+        return np.asarray(value_batch(flat), dtype=float).reshape(shape)
+
+    return central_difference(probe_values, points, eps)
+
+
+def central_difference(
+    probe_values, points: np.ndarray, eps: float = _GRADIENT_EPS
+) -> np.ndarray:
+    """Central-difference gradients at a ``(K, M)`` batch, probes built at once.
+
     Mirrors :func:`numeric_gradient` coordinate for coordinate — the same
     relative step, the same forward-difference fallback at the zero
     boundary, the same operation order — so the batched gradients agree
-    bitwise with the scalar ones whenever ``value_batch`` agrees bitwise
-    with the scalar ``value``.  All ``2 * K * M`` probe points are
-    evaluated in a single ``value_batch`` dispatch.
+    bitwise with the scalar ones whenever the probe values agree bitwise
+    with the scalar ``value``.  ``probe_values`` maps the ``(2, M, K, M)``
+    probe tensor — ``probes[0, j]`` the points with coordinate ``j``
+    stepped up, ``probes[1, j]`` stepped down (or left in place for a
+    forward difference) — to its ``(2, M, K)`` values.
     """
-    points = np.asarray(points, dtype=float)
     n_points, n_dims = points.shape
     if n_points == 0:
         return np.zeros_like(points)
     steps = eps * np.maximum(1.0, np.abs(points))          # (K, M)
     forward = points - steps < 0.0                          # (K, M)
-    # Probe layout: for each dim j, K hi-points then K lo-points.  The
-    # lo-point of a forward-difference coordinate is the point itself.
-    probes = np.empty((2 * n_dims * n_points, n_dims), dtype=float)
-    for j in range(n_dims):
-        hi = points.copy()
-        hi[:, j] += steps[:, j]
-        lo = points.copy()
-        lo[:, j] -= np.where(forward[:, j], 0.0, steps[:, j])
-        base = 2 * j * n_points
-        probes[base : base + n_points] = hi
-        probes[base + n_points : base + 2 * n_points] = lo
-    values = np.asarray(value_batch(probes), dtype=float)
-    grad = np.empty_like(points)
-    for j in range(n_dims):
-        base = 2 * j * n_points
-        f_hi = values[base : base + n_points]
-        f_lo = values[base + n_points : base + 2 * n_points]
-        grad[:, j] = np.where(
-            forward[:, j],
-            (f_hi - f_lo) / steps[:, j],
-            (f_hi - f_lo) / (2.0 * steps[:, j]),
-        )
-    return grad
+    # Every coordinate stepped up / down, then one coordinate per block.
+    ends = np.array([points + steps, points - np.where(forward, 0.0, steps)])
+    probes = np.where(_diagonal(n_dims), ends[:, None], points)
+    values = probe_values(probes)
+    rise = (values[0] - values[1]).T                        # (K, M)
+    return np.where(forward, rise / steps, rise / (2.0 * steps))
+
+
+@functools.lru_cache(maxsize=None)
+def _diagonal(n_dims: int) -> np.ndarray:
+    """``(M, 1, M)`` mask moving coordinate ``j`` of probe block ``j``."""
+    mask = np.eye(n_dims, dtype=bool)[:, None, :]
+    mask.flags.writeable = False
+    return mask
 
 
 def is_nondecreasing_on_grid(func, grids: Sequence[np.ndarray], tol: float = 1e-9) -> bool:

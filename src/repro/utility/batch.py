@@ -3,7 +3,7 @@
 The market asks for the utilities or marginals of every player at once
 (Eq. 2 scoring, Eq. 7 marginals at every hill-climb step).  This module
 compiles a fixed player list into a :class:`BatchedUtilitySet` that
-answers "values / gradients of players ``I`` at allocations ``A``" in as
+answers "values / gradients / Eq. 7 marginals of players ``I``" in as
 few vectorized dispatches as possible:
 
 * **Stacked grids** — :class:`~repro.utility.tabular.GridUtility2D`
@@ -12,8 +12,9 @@ few vectorized dispatches as possible:
   axis is per-app) are stacked into ``(G, nx)`` / ``(G, ny)`` axis
   matrices and one ``(G, nx, ny)`` value tensor.  One vectorized
   evaluation then serves the whole group, however many players are
-  active: a value call is one dispatch, a central-difference gradient
-  two.
+  active: a value call is one dispatch, and a central-difference
+  gradient builds all of its probes in one broadcast and evaluates them
+  in one more.
 * **Shared objects** — players holding the *same* utility object (the
   synthetic theory markets) are evaluated with a single batch call.
 * **Everything else** — one ``value_batch`` / ``gradient_batch`` call
@@ -23,20 +24,68 @@ few vectorized dispatches as possible:
   defined (and counted honestly).
 
 The stacked kernels are :class:`GridUtility2D`'s elementwise, so row
-``k`` of either method equals the player's own ``value_batch`` /
+``k`` of every method equals the player's own ``value_batch`` /
 ``gradient_batch`` at that row bitwise.
+
+:func:`bid_marginals` is Equation 7 itself — the proportional-share
+allocation of a bid row and the chain rule through it — shared by
+:meth:`BatchedUtilitySet.marginals` (the lockstep hill climb's one
+entry per step) and :func:`~repro.core.player.marginal_utility_of_bids`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .base import UtilityFunction, counted_kernel, numeric_gradient_batch
+from ..qa import sanitize as _sanitize
+from .base import UtilityFunction, central_difference, count_batch, counted_kernel
 from .tabular import GridUtility2D, _bilinear_blend
 
-__all__ = ["BatchedUtilitySet", "StackedGrids"]
+__all__ = ["FIRST_BID_RATE", "BatchedUtilitySet", "StackedGrids", "bid_marginals"]
+
+#: Finite stand-in for the infinite first-bid marginal (``y_j == 0``):
+#: large enough to dominate any real marginal, scaled by capacity so the
+#: bytes-vs-watts resources keep their relative ordering.
+FIRST_BID_RATE = 1e9
+
+
+def bid_marginals(
+    bids: np.ndarray,
+    others: np.ndarray,
+    capacities: np.ndarray,
+    gradients: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Equation 7 marginals ``dU/db_j`` for a ``(K, M)`` batch of bid rows.
+
+    Row ``k`` bids ``bids[k]`` against the other players' bids
+    ``others[k]`` (``(K, M)`` or a shared ``(M,)``) and receives the
+    Equation 2 allocation ``r_j = b_j / (b_j + y_j) * C_j`` (nothing
+    where nobody bids); ``gradients`` maps those ``(K, M)`` allocations
+    to ``dU/dr``.  By the chain rule::
+
+        dU/db_j = dU/dr_j * y_j * C_j / (b_j + y_j)^2
+
+    A first bid on an un-bid resource (``b_j + y_j == 0``) captures all
+    of it, so its rate is the utility slope times
+    ``C_j * FIRST_BID_RATE``, a large finite value that keeps
+    comparisons meaningful.  An infinite rate from an overflowing
+    quotient is mapped the same way.
+    """
+    total = bids + others
+    bid_on = total > 0.0
+    safe = np.where(bid_on, total, 1.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        allocations = np.where(bid_on, bids / safe, 0.0) * capacities
+        rate = np.where(bid_on, others * capacities / safe ** 2, np.inf)
+    if _sanitize.ACTIVE:
+        _sanitize.check_player_allocations(allocations, capacities)
+    rate = np.where(np.isinf(rate), capacities * FIRST_BID_RATE, rate)
+    marginals = gradients(allocations) * rate
+    if _sanitize.ACTIVE:
+        _sanitize.check_marginals(marginals)
+    return marginals
 
 
 class StackedGrids:
@@ -51,13 +100,42 @@ class StackedGrids:
         self.xs = np.stack([g.xs for g in grids])          # (G, nx)
         self.ys = np.stack([g.ys for g in grids])          # (G, ny)
         self.values = np.stack([g.values for g in grids])  # (G, nx, ny)
-        #: Flat view of the value tensor: sample (g, i, j) sits at
-        #: (g * nx + i) * ny + j.
+        #: Flat views: sample (g, i, j) of the value tensor sits at
+        #: (g * nx + i) * ny + j, axis sample (g, i) at g * nx + i.
         self._table = self.values.ravel()
+        self._x = self.xs.ravel()
+        self._y = self.ys.ravel()
+        #: Each grid's clamp box, ``[[x_lo, y_lo], [x_hi, y_hi]]``.
+        self._box = np.stack(
+            [
+                np.stack([self.xs[:, 0], self.ys[:, 0]], axis=1),
+                np.stack([self.xs[:, -1], self.ys[:, -1]], axis=1),
+            ],
+            axis=1,
+        )                                                  # (G, 2, 2)
 
     @counted_kernel("value")
     def value_points(self, points: np.ndarray, owners: np.ndarray) -> np.ndarray:
-        """Values of ``points[k]`` under grid ``owners[k]``.
+        """Values of ``points[k]`` under grid ``owners[k]``."""
+        return self._interpolate(points, owners)
+
+    @counted_kernel("gradient")
+    def gradient_points(self, points: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        """Numeric gradients of ``points[k]`` under grid ``owners[k]``.
+
+        :func:`~repro.utility.base.central_difference`, the gradient
+        :class:`GridUtility2D` derives from its ``value_batch``; its
+        ``2 * K * M`` probes are one broadcast over the ``K`` rows' own
+        grids, counted as one value call.
+        """
+        count_batch("value", 2 * points.size)
+        return central_difference(
+            lambda probes: self._interpolate(probes, owners), points
+        )
+
+    def _interpolate(self, points: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        """Bilinear values of ``(..., K, 2)`` points; ``points[..., k, :]``
+        lies on grid ``owners[k]``.
 
         Mirrors :meth:`GridUtility2D.value_batch` (clamp, clamped-index
         lookup, four-term bilinear blend) elementwise.  The cell index
@@ -65,39 +143,28 @@ class StackedGrids:
         ``searchsorted(axis, x, side="right")`` for a sorted axis — since
         numpy's searchsorted cannot look up a different axis per point.
         """
-        xs = self.xs[owners]                               # (K, nx)
-        ys = self.ys[owners]                               # (K, ny)
-        xc = np.clip(points[:, 0], xs[:, 0], xs[:, -1])
-        yc = np.clip(points[:, 1], ys[:, 0], ys[:, -1])
-        i = np.clip(np.sum(xs <= xc[:, None], axis=1) - 1, 0, xs.shape[1] - 2)
-        j = np.clip(np.sum(ys <= yc[:, None], axis=1) - 1, 0, ys.shape[1] - 2)
-        span = np.arange(points.shape[0])
-        x0, y0 = xs[span, i], ys[span, j]
-        tx = (xc - x0) / (xs[span, i + 1] - x0)
-        ty = (yc - y0) / (ys[span, j + 1] - y0)
-        ny = ys.shape[1]
-        cell = (owners * xs.shape[1] + i) * ny + j
-        return _bilinear_blend(self._table, cell, ny, tx, ty)
-
-    @counted_kernel("gradient")
-    def gradient_points(self, points: np.ndarray, owners: np.ndarray) -> np.ndarray:
-        """Numeric gradients of ``points[k]`` under grid ``owners[k]``.
-
-        :func:`~repro.utility.base.numeric_gradient_batch`, the gradient
-        :class:`GridUtility2D` derives from its ``value_batch``, with all
-        ``4K`` probes evaluated in one :meth:`value_points` call.
-        """
-        probe_owners = np.tile(owners, 2 * points.shape[1])
-        return numeric_gradient_batch(
-            lambda probes: self.value_points(probes, probe_owners), points
-        )
+        nx, ny = self.xs.shape[1], self.ys.shape[1]
+        box = self._box[owners]                            # (K, 2, 2)
+        clamped = np.minimum(np.maximum(points, box[:, 0]), box[:, 1])
+        xc, yc = clamped[..., 0], clamped[..., 1]
+        i = (self.xs[owners] <= xc[..., None]).sum(axis=-1) - 1
+        j = (self.ys[owners] <= yc[..., None]).sum(axis=-1) - 1
+        i = np.minimum(np.maximum(i, 0), nx - 2)
+        j = np.minimum(np.maximum(j, 0), ny - 2)
+        # Flat index of each point's low axis samples.
+        low_x = owners * nx + i
+        low_y = owners * ny + j
+        x0, y0 = self._x[low_x], self._y[low_y]
+        tx = (xc - x0) / (self._x[low_x + 1] - x0)
+        ty = (yc - y0) / (self._y[low_y + 1] - y0)
+        return _bilinear_blend(self._table, low_x * ny + j, ny, tx, ty)
 
 
 class BatchedUtilitySet:
     """A compiled batched evaluator for a fixed utility list.
 
     Build once per equilibrium search (the player list is fixed for the
-    search's lifetime), then call :meth:`gradients` every lockstep
+    search's lifetime), then call :meth:`marginals` every lockstep
     iteration with whatever subset of players is still climbing, and
     :meth:`values` to score the players.
     """
@@ -165,14 +232,7 @@ class BatchedUtilitySet:
         bitwise.
         """
         allocations = np.asarray(allocations, dtype=float)
-        out = np.empty(allocations.shape[0])
-        for evaluator, rows, owners in self._split(allocations, players):
-            out[rows] = (
-                evaluator.value_batch(allocations[rows])
-                if owners is None
-                else evaluator.value_points(allocations[rows], owners)
-            )
-        return out
+        return self._evaluate("value", allocations, players, allocations.shape[:1])
 
     def gradients(
         self, allocations: np.ndarray, players: Optional[np.ndarray] = None
@@ -184,35 +244,63 @@ class BatchedUtilitySet:
         bitwise.
         """
         allocations = np.asarray(allocations, dtype=float)
-        out = np.empty_like(allocations)
-        for evaluator, rows, owners in self._split(allocations, players):
-            out[rows] = (
-                evaluator.gradient_batch(allocations[rows])
-                if owners is None
-                else evaluator.gradient_points(allocations[rows], owners)
-            )
-        return out
+        return self._evaluate("gradient", allocations, players, allocations.shape)
 
-    def _split(self, allocations: np.ndarray, players: Optional[np.ndarray]):
-        """``(evaluator, rows, owners)`` for every group that owns rows.
+    def marginals(
+        self,
+        bids: np.ndarray,
+        others: np.ndarray,
+        capacities: np.ndarray,
+        players: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Equation 7 marginals of ``players[k]`` bidding ``bids[k]``.
 
-        ``owners`` are the rows' slots in a :class:`StackedGrids`, and
-        ``None`` for a plain utility.
+        :func:`bid_marginals` of the ``(K, M)`` bid rows against
+        ``others``, with every row's ``dU/dr`` from :meth:`gradients`;
+        row ``k`` equals
+        ``marginal_utility_of_bids(utilities[players[k]], bids[k],
+        others[k], capacities)`` bitwise.
         """
+        return bid_marginals(
+            bids, others, capacities,
+            lambda allocations: self.gradients(allocations, players),
+        )
+
+    def _evaluate(
+        self,
+        kind: str,
+        allocations: np.ndarray,
+        players: Optional[np.ndarray],
+        shape: tuple,
+    ) -> np.ndarray:
+        """One ``kind`` ("value" or "gradient") dispatch per group that owns rows."""
         if players is None:
             players = np.arange(allocations.shape[0])
+        out = np.empty(shape)
+        if players.size == 0:
+            return out
         if len(self._groups) == 1:
-            selections = [np.arange(players.size)]
+            selections = [(self._groups[0], slice(None))]
         else:
             group_of = self._group_of[players]
-            selections = [
-                np.flatnonzero(group_of == g) for g in range(len(self._groups))
-            ]
-        for evaluator, rows in zip(self._groups, selections):
-            if rows.size:
-                owners = (
-                    self._slot_of[players[rows]]
-                    if isinstance(evaluator, StackedGrids)
-                    else None
+            selections = []
+            for g, group in enumerate(self._groups):
+                rows = np.flatnonzero(group_of == g)
+                if rows.size:
+                    selections.append((group, rows))
+        for group, rows in selections:
+            points = allocations[rows]
+            if isinstance(group, StackedGrids):
+                owners = self._slot_of[players[rows]]
+                out[rows] = (
+                    group.value_points(points, owners)
+                    if kind == "value"
+                    else group.gradient_points(points, owners)
                 )
-                yield evaluator, rows, owners
+            else:
+                out[rows] = (
+                    group.value_batch(points)
+                    if kind == "value"
+                    else group.gradient_batch(points)
+                )
+        return out

@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ExactBidder, HillClimbBidder
+from repro.core import (
+    ExactBidder,
+    HillClimbBidder,
+    PriceTakingBidder,
+    VectorHillClimbBidder,
+)
 from repro.core.bidding import BiddingStrategy, _project_to_simplex
 from repro.core.player import bid_to_allocation
+from repro.exceptions import MarketConfigurationError
 from repro.utility import LinearUtility, LogUtility, SaturatingUtility
 
 
@@ -158,3 +164,14 @@ class TestSimplexProjection:
     def test_zero_total(self):
         p = _project_to_simplex(np.array([1.0, 2.0]), 0.0)
         np.testing.assert_allclose(p, [0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "bidder_type", [HillClimbBidder, VectorHillClimbBidder, PriceTakingBidder]
+)
+@pytest.mark.parametrize("fraction", [0.0, -0.01, float("nan"), float("inf")])
+def test_rejects_step_stop_that_never_stops(bidder_type, fraction):
+    # The climb halves its step until it falls below this fraction of
+    # the budget; step_stop_fraction=0.0 made EqualBudget hang.
+    with pytest.raises(MarketConfigurationError):
+        bidder_type(step_stop_fraction=fraction)

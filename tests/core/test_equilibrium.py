@@ -13,6 +13,7 @@ from repro.core import (
     find_equilibrium,
 )
 from repro.core.equilibrium import _prices_stable
+from repro.exceptions import MarketConfigurationError
 from repro.utility import LogUtility
 
 
@@ -106,3 +107,11 @@ class TestPriceStability:
 
     def test_zero_prices_are_stable(self):
         assert _prices_stable(np.array([0.0]), np.array([0.0]), 0.01)
+
+
+@pytest.mark.parametrize("max_iterations", [0, -3])
+def test_rejects_zero_round_search(small_market, max_iterations):
+    # Zero rounds would report the equal split's lambdas as an
+    # equilibrium's.
+    with pytest.raises(MarketConfigurationError):
+        find_equilibrium(small_market, max_iterations=max_iterations)

@@ -48,6 +48,16 @@ class TestReBudgetConfig:
         with pytest.raises(MarketConfigurationError):
             ReBudgetConfig().resolve()
 
+    @pytest.mark.parametrize(
+        "field", ["max_rounds", "equilibrium_max_iterations"]
+    )
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_loops_that_never_run(self, field, value):
+        # Zero ReBudget rounds left `.final` raising IndexError; zero
+        # pricing rounds returned the equal split's lambdas.
+        with pytest.raises(MarketConfigurationError):
+            ReBudgetConfig(step=20.0, **{field: value}).resolve()
+
     def test_validation(self):
         with pytest.raises(MarketConfigurationError):
             ReBudgetConfig(step=-1.0).resolve()

@@ -104,7 +104,9 @@ class TestPlayerBatchSeams:
             assert np.array_equal(batch[k], expected)
 
     def test_marginal_batch_requires_an_evaluation_route(self):
-        with pytest.raises(ValueError):
+        # One utility is the only route: rows of several players go
+        # through BatchedUtilitySet.marginals.
+        with pytest.raises(TypeError):
             marginal_utility_of_bids_batch(
                 self.BIDS, self.OTHERS, self.CAPACITIES
             )

@@ -10,6 +10,8 @@ hot-loop bench reads.
 import numpy as np
 import pytest
 
+from repro.core.player import marginal_utility_of_bids
+from repro.qa import sanitize
 from repro.utility import (
     EVAL_COUNTERS,
     AdditiveUtility,
@@ -361,3 +363,96 @@ class TestBatchedUtilitySet:
         out = evaluator.gradients(allocations, players=players)
         for k, i in enumerate(players):
             assert np.array_equal(out[k], utilities[i].gradient(allocations[k]))
+
+
+class TestMarginalsOracle:
+    """``BatchedUtilitySet.marginals`` against Equation 7 written out.
+
+    The oracle is per player and per resource, in plain floats: the
+    Eq. 2 allocation, the gradient (for a grid, the scalar
+    :func:`numeric_gradient` loop over the grid's own searchsorted
+    lookup — neither the stacked kernel nor the batched difference) and
+    the chain-rule rate, with the first-bid rate ``C_j * 1e9`` spelled
+    out.
+    """
+
+    CAPACITIES = np.array([4.0, 2.0])
+    #: (player, bids, others): interior rows, a resource nobody bids on
+    #: (b_j + y_j == 0, the first-bid branch), allocations below the
+    #: numeric-gradient step (forward differences), a player already
+    #: owning (nearly) everything, and repeated players.
+    ROWS = [
+        (0, [10.0, 5.0], [30.0, 20.0]),
+        (1, [10.0, 0.0], [5.0, 0.0]),
+        (2, [0.0, 7.0], [0.0, 3.0]),
+        (3, [1e-9, 1e-9], [50.0, 50.0]),
+        (4, [0.0, 0.0], [10.0, 10.0]),
+        (5, [1e6, 1e6], [1.0, 1.0]),
+        (6, [0.0, 0.0], [0.0, 0.0]),
+        (7, [3.0, 9.0], [9.0, 3.0]),
+        (2, [50.0, 1e-8], [50.0, 100.0]),
+        (5, [0.5, 2.0], [0.0, 8.0]),
+    ]
+
+    @staticmethod
+    def _written_out(utility, bids, others, capacities):
+        allocation, rate = [], []
+        for b, y, c in zip(bids, others, capacities):
+            total = b + y
+            if total > 0.0:
+                allocation.append(b / total * c)
+                rate.append(y * c / (total * total))
+            else:
+                allocation.append(0.0)
+                rate.append(c * 1e9)
+        if isinstance(utility, GridUtility2D):
+            gradient = numeric_gradient(utility.value, np.array(allocation))
+        else:
+            gradient = utility.gradient(np.array(allocation))
+        return np.array([g * r for g, r in zip(gradient, rate)]), allocation
+
+    @pytest.mark.parametrize("sanitized", [True, False])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["stacked", "mixed"])
+    def test_bitwise_against_written_out_eq7(self, sanitized, mixed):
+        utilities = [make_grid(seed) for seed in range(8)]
+        if mixed:
+            # Non-grid players take the per-utility gradient_batch route.
+            utilities[3] = LogUtility([1.0, 0.5], [2.0, 1.0])
+            utilities[6] = utilities[3]
+        evaluator = BatchedUtilitySet(utilities)
+        players = np.array([p for p, _, _ in self.ROWS])
+        bids = np.array([b for _, b, _ in self.ROWS])
+        others = np.array([y for _, _, y in self.ROWS])
+        with sanitize.enabled(sanitized):
+            out = evaluator.marginals(bids, others, self.CAPACITIES, players)
+            seams = [
+                marginal_utility_of_bids(
+                    utilities[p], bids[k], others[k], self.CAPACITIES
+                )
+                for k, p in enumerate(players)
+            ]
+        first_bids = forward = 0
+        for k, p in enumerate(players):
+            expected, allocation = self._written_out(
+                utilities[p], bids[k], others[k], self.CAPACITIES
+            )
+            assert np.array_equal(out[k], expected), k
+            assert np.array_equal(seams[k], expected), k
+            first_bids += int(np.sum(bids[k] + others[k] <= 0.0))
+            forward += sum(a - 1e-6 * max(1.0, abs(a)) < 0.0 for a in allocation)
+        # The rows really reach both guarded branches.
+        assert first_bids >= 3
+        assert forward >= 6
+
+    def test_one_gradient_and_one_probe_dispatch_per_step(self):
+        evaluator = BatchedUtilitySet([make_grid(seed) for seed in range(8)])
+        players = np.array([1, 4, 6])
+        before = EVAL_COUNTERS.snapshot()
+        evaluator.marginals(
+            np.full((3, 2), 10.0), np.full((3, 2), 30.0), self.CAPACITIES, players
+        )
+        delta = EVAL_COUNTERS.since(before)
+        assert delta["batch_gradient_calls"] == 1
+        assert delta["batch_value_calls"] == 1
+        # K rows for the gradient call plus its 2 * M * K probes.
+        assert delta["batch_points"] == 3 + 2 * 2 * 3
