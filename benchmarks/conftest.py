@@ -12,14 +12,21 @@ The full paper-scale sweep (240 bundles, 64 cores) takes the better part
 of an hour; the default runs a smaller but structurally identical subset
 (the bundle lists are prefix-stable, so the default is a strict subset
 of the full run).  Set ``REPRO_FULL=1`` for the paper-scale version.
+
+The side benchmarks of ``scripts/bench.py`` are imported from there as
+``SCENARIOS``.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from bench import SCENARIOS  # noqa: E402,F401
 
 RESULTS_DIR = Path(__file__).parent / "_results"
 

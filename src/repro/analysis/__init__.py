@@ -20,17 +20,14 @@ from .experiments import (
     run_analytic_sweep,
     run_simulation_experiment,
 )
-from .hotloop_bench import run_hotloop_bench
 from .reporting import format_series, format_table, summarize_simulation, summarize_sweep
 from .stats import fraction_at_least, geometric_mean, series_summary
-from .sweep_bench import run_sweep_bench, sweep_fingerprint, sweeps_identical
 from .validation import (
     UMONErrorRow,
     dram_contention_study,
     futility_convergence_study,
     umon_error_study,
 )
-from .warmstart_bench import ColdVsWarmProbe, EpochProbeRecord, run_warmstart_bench
 
 __all__ = [
     "AppCharacterization",
@@ -47,9 +44,6 @@ __all__ = [
     "SimulationScore",
     "SimulationSweepResult",
     "run_simulation_experiment",
-    "run_sweep_bench",
-    "sweep_fingerprint",
-    "sweeps_identical",
     "format_table",
     "format_series",
     "summarize_sweep",
@@ -64,8 +58,4 @@ __all__ = [
     "umon_error_study",
     "futility_convergence_study",
     "dram_contention_study",
-    "ColdVsWarmProbe",
-    "EpochProbeRecord",
-    "run_warmstart_bench",
-    "run_hotloop_bench",
 ]

@@ -15,9 +15,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +50,7 @@ __all__ = [
     "BundleScore",
     "SweepFailure",
     "SweepResult",
+    "sweeps_identical",
     "run_analytic_bundle",
     "run_analytic_sweep",
     "SimulationScore",
@@ -261,6 +263,34 @@ class SweepResult:
             "fraction_within_5": float(np.mean(iters <= 5)),
             "converged_fraction": float(converged.mean()),
         }
+
+
+def sweeps_identical(a: SweepResult, b: SweepResult) -> Tuple[bool, float]:
+    """``(identical, max_abs_divergence)`` between two sweeps' scores.
+
+    The sweep executor's determinism contract is *bitwise* identity of
+    every cell between ``workers=1`` and ``workers=N``: efficiency,
+    envy-freeness, iteration count and the full allocation matrix.  A
+    sweep whose cells differ from the other's is never identical.
+    """
+    cells_a = {(s.bundle, m): r for s in a.scores for m, r in s.results.items()}
+    cells_b = {(s.bundle, m): r for s in b.scores for m, r in s.results.items()}
+    if cells_a.keys() != cells_b.keys():
+        return False, float("inf")
+    identical, worst = True, 0.0
+    for key, ra in cells_a.items():
+        rb = cells_b[key]
+        for metric in ("efficiency", "envy_freeness", "iterations"):
+            x, y = float(getattr(ra, metric)), float(getattr(rb, metric))
+            worst = max(worst, abs(x - y))
+            # isclose with zero tolerances is `x == y` spelled so the
+            # exactness is explicit (and REPRO101-clean).
+            identical = identical and math.isclose(x, y, rel_tol=0.0, abs_tol=0.0)
+        if not np.array_equal(ra.allocations, rb.allocations):
+            identical = False
+            gap = np.abs(ra.allocations - rb.allocations)
+            worst = max(worst, float(gap.max()))
+    return identical, worst
 
 
 def run_analytic_bundle(

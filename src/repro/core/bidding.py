@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..exceptions import MarketConfigurationError
+from ..exceptions import checked_positive
 from ..utility.base import UtilityFunction
 from ..utility.batch import BatchedUtilitySet
 from .player import bid_to_allocation, marginal_utility_of_bids
@@ -198,7 +198,9 @@ class HillClimbBidder(BiddingStrategy):
 
     def __init__(self, lambda_tolerance: float = 0.05, step_stop_fraction: float = 0.01):
         self.lambda_tolerance = lambda_tolerance
-        self.step_stop_fraction = _checked_step_stop(step_stop_fraction)
+        self.step_stop_fraction = checked_positive(
+            step_stop_fraction, "step_stop_fraction"
+        )
 
     def memo_key(self) -> Optional[tuple]:
         # Exact types only: a subclass may carry state this key misses.
@@ -491,7 +493,9 @@ class PriceTakingBidder(BiddingStrategy):
 
     def __init__(self, lambda_tolerance: float = 0.05, step_stop_fraction: float = 0.01):
         self.lambda_tolerance = lambda_tolerance
-        self.step_stop_fraction = _checked_step_stop(step_stop_fraction)
+        self.step_stop_fraction = checked_positive(
+            step_stop_fraction, "step_stop_fraction"
+        )
 
     def optimize(
         self,
@@ -538,20 +542,6 @@ class PriceTakingBidder(BiddingStrategy):
             marginals_at,
         )
         return bids
-
-
-def _checked_step_stop(fraction: float) -> float:
-    """``fraction`` as a float, rejecting what would stop no climb.
-
-    The climb halves its step until it falls below ``fraction`` of the
-    budget; at zero, below zero or NaN that never happens.
-    """
-    fraction = float(fraction)
-    if not (np.isfinite(fraction) and fraction > 0.0):
-        raise MarketConfigurationError(
-            f"step_stop_fraction must be positive and finite, got {fraction!r}"
-        )
-    return fraction
 
 
 def _climb(

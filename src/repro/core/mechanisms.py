@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..exceptions import MarketConfigurationError
+from ..exceptions import MarketConfigurationError, checked_positive
 from ..qa import sanitize as _sanitize
 from ..utility.base import UtilityFunction
 from ..utility.batch import BatchedUtilitySet
@@ -158,16 +158,6 @@ class MechanismResult:
     mur: Optional[float] = None
     mbr: Optional[float] = None
     details: Dict[str, object] = field(default_factory=dict)
-
-
-def _checked_budget(budget: float) -> float:
-    """``budget`` as a float, rejecting zero, negative and non-finite ones."""
-    budget = float(budget)
-    if not (np.isfinite(budget) and budget > 0.0):
-        raise MarketConfigurationError(
-            f"budget must be positive and finite, got {budget!r}"
-        )
-    return budget
 
 
 def clamp_to_per_player_caps(
@@ -326,7 +316,7 @@ class EqualBudget(AllocationMechanism):
         bidder: Optional[BiddingStrategy] = None,
         warm: bool = True,
     ):
-        self.budget = _checked_budget(budget)
+        self.budget = checked_positive(budget, "budget")
         self.bidder = bidder or VectorHillClimbBidder()
         self.warm = warm
         self.warm_state = None
@@ -427,14 +417,15 @@ class ReBudgetMechanism(AllocationMechanism):
         warm: bool = True,
     ):
         self.config = ReBudgetConfig(
-            initial_budget=_checked_budget(budget),
+            initial_budget=float(budget),
             step=step,
             min_envy_freeness=min_envy_freeness,
             lambda_threshold=lambda_threshold,
         )
-        # Fail here, not in the first allocate(): a missing or
-        # non-positive step and an out-of-range threshold are typed
-        # configuration errors.
+        # Fail here, not in the first allocate(): a missing step, a
+        # non-positive or non-finite step or budget, and an out-of-range
+        # threshold or envy-freeness target are typed configuration
+        # errors.
         self.config.resolve()
         self.bidder = bidder or VectorHillClimbBidder()
         self.warm = warm

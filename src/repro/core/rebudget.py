@@ -23,7 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..exceptions import MarketConfigurationError
+from ..exceptions import MarketConfigurationError, checked_positive
 from ..qa import sanitize as _sanitize
 from .bidding import BiddingStrategy, VectorHillClimbBidder
 from .equilibrium import (
@@ -62,8 +62,10 @@ class ReBudgetConfig:
 
     def resolve(self) -> tuple:
         """Return ``(initial_step, budget_floor)`` for this configuration."""
-        if self.initial_budget <= 0:
-            raise MarketConfigurationError("initial budget must be positive")
+        checked_positive(self.initial_budget, "initial budget")
+        # At zero, below zero or NaN the halving step never falls below
+        # the stop, so only max_rounds would end the loop.
+        checked_positive(self.step_stop_fraction, "step_stop_fraction")
         if not 0.0 < self.lambda_threshold < 1.0:
             raise MarketConfigurationError("lambda threshold must lie in (0, 1)")
         if not 0.0 < self.backoff < 1.0:
@@ -79,15 +81,15 @@ class ReBudgetConfig:
 
         floor = 0.0
         if self.min_envy_freeness is not None:
-            mbr = min_mbr_for_envy_freeness(self.min_envy_freeness)
+            try:
+                mbr = min_mbr_for_envy_freeness(self.min_envy_freeness)
+            except ValueError as error:
+                raise MarketConfigurationError(str(error)) from error
             floor = mbr * self.initial_budget
 
         if self.step is not None:
-            if self.step <= 0:
-                raise MarketConfigurationError("step must be positive")
-            step = float(self.step)
+            step = checked_positive(self.step, "step")
         elif self.min_envy_freeness is not None:
-            mbr = min_mbr_for_envy_freeness(self.min_envy_freeness)
             step = (1.0 - mbr) * self.initial_budget / 2.0
         else:
             raise MarketConfigurationError(

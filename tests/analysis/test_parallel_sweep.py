@@ -9,7 +9,7 @@ public entry points ``run_analytic_sweep`` / ``run_simulation_experiment``.
 import pytest
 
 from repro.analysis import run_analytic_sweep, run_simulation_experiment
-from repro.analysis.sweep_bench import sweeps_identical
+from repro.analysis.experiments import sweeps_identical
 from repro.cmp import cmp_8core
 from repro.core import EqualBudget, EqualShare
 from repro.sim import SimulationConfig

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import run_analytic_sweep
-from repro.analysis.sweep_bench import sweeps_identical
+from repro.analysis.experiments import sweeps_identical
 from repro.cmp import cmp_8core
 from repro.core import (
     AllocationProblem,

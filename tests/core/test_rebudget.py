@@ -7,6 +7,7 @@ from repro.core import (
     Market,
     Player,
     ReBudgetConfig,
+    ReBudgetMechanism,
     Resource,
     ResourceSet,
     run_rebudget,
@@ -29,6 +30,36 @@ def _heterogeneous_market():
         Player("flat", SaturatingUtility([0.05, 0.05], [0.5, 0.5]), 100.0),
     ]
     return Market(rs, players)
+
+
+NAN, INF = float("nan"), float("inf")
+
+#: Knob values that used to pass ``resolve()``.  A NaN step gave all-NaN
+#: budgets that still scored EF 1.0; an infinite step cut every budget
+#: to 0; a zero, negative or NaN stop fraction never stops the halving.
+BAD_KNOBS = [
+    ("step_stop_fraction", 0.0),
+    ("step_stop_fraction", -1.0),
+    ("step_stop_fraction", NAN),
+    ("step", NAN),
+    ("step", INF),
+    ("initial_budget", NAN),
+    ("initial_budget", INF),
+    ("min_envy_freeness", -0.1),
+    ("min_envy_freeness", 0.9),
+    ("min_envy_freeness", NAN),
+]
+
+
+def _through_run_rebudget(field, value):
+    config = ReBudgetConfig(**{"step": 20.0, field: value})
+    run_rebudget(_heterogeneous_market(), config)
+
+
+def _through_mechanism(field, value):
+    # The mechanism calls its initial budget `budget` and has no stop
+    # fraction knob.
+    ReBudgetMechanism(**{"step": 20.0, field.replace("initial_", ""): value})
 
 
 class TestReBudgetConfig:
@@ -57,6 +88,19 @@ class TestReBudgetConfig:
         # pricing rounds returned the equal split's lambdas.
         with pytest.raises(MarketConfigurationError):
             ReBudgetConfig(step=20.0, **{field: value}).resolve()
+
+    @pytest.mark.parametrize(
+        "through, field, value",
+        [
+            (through, field, value)
+            for field, value in BAD_KNOBS
+            for through in (_through_run_rebudget, _through_mechanism)
+            if not (through is _through_mechanism and field == "step_stop_fraction")
+        ],
+    )
+    def test_rejects_bad_knob_at_construction(self, through, field, value):
+        with pytest.raises(MarketConfigurationError):
+            through(field, value)
 
     def test_validation(self):
         with pytest.raises(MarketConfigurationError):
