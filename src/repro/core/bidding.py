@@ -26,7 +26,7 @@ by default loops :meth:`~BiddingStrategy.optimize` over the players.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,7 +63,8 @@ class BiddingStrategy(abc.ABC):
 
     #: What :meth:`optimize_all` last left behind: the (N, M) marginals
     #: of every climb at its returned bids, and a per-player flag saying
-    #: whether they are *fresh* (the row of :attr:`last_marginals`).
+    #: whether they are *fresh* (the row of :attr:`last_marginals`);
+    #: rows that are not fresh hold zeros.
     last_marginals_all: Optional[np.ndarray] = None
     last_fresh: Optional[np.ndarray] = None
 
@@ -141,26 +142,50 @@ class BiddingStrategy(abc.ABC):
 
     @staticmethod
     def warm_start_bids(
-        current_bids: np.ndarray | None, budget: float, num_resources: int
-    ) -> np.ndarray | None:
-        """Validate and normalize a previous bid vector for reuse.
+        current_bids: Optional[np.ndarray], budgets: np.ndarray, num_resources: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Previous bid rows made reusable, or an equal split where they are not.
 
-        Returns ``None`` — caller falls back to an equal split — when the
-        vector is absent, malformed, all-zero, or was computed for a
-        different budget (a budget change means the old split is stale).
+        Row-wise over ``budgets`` (``(K,)``): row ``k`` of the ``(K, M)``
+        ``current_bids`` is reused when it is finite, its non-negative
+        part sums to a positive total, and that total matches
+        ``budgets[k]`` within 1e-6 relative (a budget change means the
+        old split is stale); it is then rescaled to spend exactly
+        ``budgets[k]``.  Every other row — all of them when
+        ``current_bids`` is absent or not ``(K, M)`` — is the equal
+        split.  Returns the ``(K, M)`` bids and the ``(K,)`` mask of
+        reused rows; the scalar climbs pass one row.
         """
+        budgets = np.asarray(budgets, dtype=float)
+        bids = np.repeat(budgets[:, None] / num_resources, num_resources, axis=1)
+        warm = np.zeros(budgets.size, dtype=bool)
         if current_bids is None:
-            return None
-        bids = np.asarray(current_bids, dtype=float)
-        if bids.shape != (num_resources,) or not np.all(np.isfinite(bids)):
-            return None
-        bids = np.maximum(bids, 0.0)
-        total = float(bids.sum())
-        if total <= 0.0:
-            return None
-        if abs(total - budget) > 1e-6 * max(budget, total):
-            return None
-        return bids * (budget / total)
+            return bids, warm
+        previous = np.asarray(current_bids, dtype=float)
+        if previous.shape != bids.shape:
+            return bids, warm
+        finite = np.isfinite(previous).all(axis=1)
+        previous = np.where(finite[:, None], np.maximum(previous, 0.0), 0.0)
+        totals = previous.sum(axis=1)
+        # Spelled as "not beyond tolerance" so a NaN budget compares as
+        # the scalar rule always did.
+        warm = (totals > 0.0) & ~(
+            np.abs(totals - budgets) > 1e-6 * np.maximum(budgets, totals)
+        )
+        bids[warm] = previous[warm] * (budgets[warm] / totals[warm])[:, None]
+        return bids, warm
+
+    @classmethod
+    def _warm_start_row(
+        cls, current_bids: Optional[np.ndarray], budget: float, num_resources: int
+    ) -> Tuple[np.ndarray, bool]:
+        """:meth:`warm_start_bids` for one player's ``(M,)`` bid vector."""
+        bids, warm = cls.warm_start_bids(
+            None if current_bids is None else np.asarray(current_bids, dtype=float)[None],
+            np.array([budget], dtype=float),
+            num_resources,
+        )
+        return bids[0], bool(warm[0])
 
     @staticmethod
     def player_lambda(
@@ -252,20 +277,16 @@ class HillClimbBidder(BiddingStrategy):
         # Step 1: start from the previous bids when they are reusable
         # (same budget), otherwise from an equal split; S is half of one
         # equal-split bid, shrunk to the last move for warm starts.
-        warm = self.warm_start_bids(current_bids, budget, num_resources)
-        if warm is None:
-            bids = np.full(num_resources, budget / num_resources)
+        bids, warm = self._warm_start_row(current_bids, budget, num_resources)
+        if not warm or step_hint is None or self._stale(
+            bids, utility, others, capacities
+        ):
+            # A cold start, no hint, or a seed whose marginals are badly
+            # out of balance (the problem shifted under us): a hint-sized
+            # step cannot cover the distance, so climb at full mobility.
             step = cold_step
         else:
-            bids = warm
-            if step_hint is None or self._stale(warm, utility, others, capacities):
-                # No hint, or the seed's marginals are badly out of
-                # balance (the problem shifted under us): a hint-sized
-                # step cannot cover the distance, so climb at full
-                # mobility from the warm point.
-                step = cold_step
-            else:
-                step = float(np.clip(step_hint, 2.0 * min_step, cold_step))
+            step = float(np.clip(step_hint, 2.0 * min_step, cold_step))
 
         self.last_marginals = _climb(
             bids,
@@ -285,6 +306,8 @@ class VectorHillClimbBidder(HillClimbBidder):
     advanced together: one ``(K, M)`` batched marginal evaluation per
     lockstep iteration serves every still-active player, instead of each
     player paying its own chain of scalar ``gradient()`` calls.  The
+    first evaluation, at the round's starting bids, doubles as the
+    hinted rows' staleness check, so every evaluation is one step.  The
     per-player arithmetic — warm-start validation, staleness check,
     donor/recipient selection, step back-off, every stop condition — is
     the scalar :meth:`HillClimbBidder.optimize` mirrored operation for
@@ -322,72 +345,54 @@ class VectorHillClimbBidder(HillClimbBidder):
         if evaluator is None:
             evaluator = BatchedUtilitySet(utilities)
 
-        bids = np.zeros((num_players, num_resources))
         self.last_marginals_all = np.zeros((num_players, num_resources))
         self.last_fresh = np.zeros(num_players, dtype=bool)
-
+        spent = budgets <= 0.0
         if num_resources == 1:
-            bids[:, 0] = np.maximum(budgets, 0.0)
-            bids[budgets <= 0.0, 0] = 0.0
-            return bids
+            return np.where(spent, 0.0, budgets)[:, None]
 
+        # Initialization, mirroring the scalar climb row for row: warm
+        # bids when reusable, equal split otherwise, cold step unless a
+        # warm row has a hint AND its seed is not stale.
+        bids, warm = self.warm_start_bids(current_bids, budgets, num_resources)
+        bids[spent] = 0.0
         cold_step = budgets / (2.0 * num_resources)
         min_step = self.step_stop_fraction * budgets
-        step = np.zeros(num_players)
+        step = cold_step.copy()
 
-        # Per-player initialization, mirroring the scalar climb: warm
-        # bids when reusable, equal split otherwise; cold step unless a
-        # usable hint exists AND the seed is not stale.
-        hinted: list = []
-        for i in range(num_players):
-            budget = float(budgets[i])
-            if budget <= 0.0:
-                continue
-            warm = self.warm_start_bids(
-                None if current_bids is None else current_bids[i],
-                budget,
-                num_resources,
+        # Every step a row can take is at most its cold step, so only
+        # rows whose cold step clears the stop can climb.  Their
+        # marginals at the round's starting bids serve twice: the
+        # staleness test of the hinted rows, and the first lockstep step.
+        rows = np.flatnonzero(~spent & (cold_step >= min_step))
+        if not rows.size:
+            return bids
+        marginals = evaluator.marginals(bids[rows], others[rows], capacities, rows)
+        hinted = warm[rows] & (step_hints is not None)
+        if hinted.any():
+            probed = rows[hinted]
+            at = marginals[hinted]
+            donors = bids[probed] > 1e-12
+            hi = at.max(axis=1)
+            lo = np.where(donors, at, np.inf).min(axis=1)
+            stale = (
+                donors.any(axis=1)
+                & (hi > 0.0)
+                & (hi - lo > 2.0 * self.lambda_tolerance * hi)
             )
-            if warm is None:
-                bids[i] = budget / num_resources
-                step[i] = cold_step[i]
-            else:
-                bids[i] = warm
-                if step_hints is None:
-                    step[i] = cold_step[i]
-                else:
-                    hinted.append(i)
-
-        if hinted:
-            # Batched staleness probe: one vectorized marginal evaluation
-            # replaces one scalar gradient call per hinted player.
-            rows = np.asarray(hinted, dtype=np.intp)
-            marginals = evaluator.marginals(
-                bids[rows], others[rows], capacities, rows
-            )
-            donors = bids[rows] > 1e-12
-            has_donor = donors.any(axis=1)
-            hi = marginals.max(axis=1)
-            lo = np.where(donors, marginals, np.inf).min(axis=1)
-            stale = has_donor & (hi > 0.0) & (hi - lo > 2.0 * self.lambda_tolerance * hi)
-            hints = np.asarray(step_hints, dtype=float)[rows]
-            step[rows] = np.where(
+            hints = np.asarray(step_hints, dtype=float)[probed]
+            step[probed] = np.where(
                 stale,
-                cold_step[rows],
-                np.clip(hints, 2.0 * min_step[rows], cold_step[rows]),
+                cold_step[probed],
+                np.clip(hints, 2.0 * min_step[probed], cold_step[probed]),
             )
+            climbing = step[rows] >= min_step[rows]
+            rows, marginals = rows[climbing], marginals[climbing]
 
-        active = (budgets > 0.0) & (step >= min_step)
-        while np.any(active):
-            rows = np.flatnonzero(active)
-            marginals = evaluator.marginals(
-                bids[rows], others[rows], capacities, rows
-            )
-            self.last_marginals_all[rows] = marginals
-            self.last_fresh[rows] = True
+        # ``rows`` stays ascending: every step keeps a subset in order.
+        while rows.size:
             span = np.arange(rows.size)
             donors = bids[rows] > 1e-12
-            has_donor = donors.any(axis=1)
             # Donor: lowest marginal among resources the player bids on
             # (np.inf masking preserves the scalar first-among-ties
             # index); recipient: highest marginal overall.
@@ -396,22 +401,32 @@ class VectorHillClimbBidder(HillClimbBidder):
             hi = marginals[span, recipient]
             lo = marginals[span, donor]
             stop = (
-                ~has_donor
+                ~donors.any(axis=1)
                 | (recipient == donor)
                 | (hi <= 0.0)
                 | (hi - lo <= self.lambda_tolerance * hi)
             )
-            active[rows[stop]] = False
-            move = rows[~stop]
-            if move.size:
-                d = donor[~stop]
-                r = recipient[~stop]
-                moved = np.minimum(step[move], bids[move, d])
-                bids[move, d] -= moved
-                bids[move, r] += moved
-                self.last_fresh[move] = False
-                step[move] *= 0.5
-                active[move] = step[move] >= min_step[move]
+            # A row that stops on this test was evaluated at exactly the
+            # bids it returns: its marginals are fresh.  A row whose step
+            # decays after a move ends stale and keeps zeros.
+            stopped = rows[stop]
+            self.last_marginals_all[stopped] = marginals[stop]
+            self.last_fresh[stopped] = True
+            go = ~stop
+            move = rows[go]
+            if not move.size:
+                break
+            d = donor[go]
+            r = recipient[go]
+            moved = np.minimum(step[move], bids[move, d])
+            bids[move, d] -= moved
+            bids[move, r] += moved
+            step[move] *= 0.5
+            rows = move[step[move] >= min_step[move]]
+            if rows.size:
+                marginals = evaluator.marginals(
+                    bids[rows], others[rows], capacities, rows
+                )
 
         return bids
 
@@ -532,8 +547,7 @@ class PriceTakingBidder(BiddingStrategy):
         # are inconsistent with the prices assumed above.  Its marginals
         # are price-taking ones, not Equation 7's, so they are not
         # exposed as last_marginals.
-        warm = self.warm_start_bids(current_bids, budget, num_resources)
-        bids = warm if warm is not None else np.full(num_resources, budget / num_resources)
+        bids, _ = self._warm_start_row(current_bids, budget, num_resources)
         _climb(
             bids,
             budget / (2.0 * num_resources),

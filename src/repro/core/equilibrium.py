@@ -237,7 +237,7 @@ def find_equilibrium(
     capacities = market.capacities
     counters_at_entry = EVAL_COUNTERS.snapshot()
     utilities_of = [p.utility for p in market.players]
-    evaluator = BatchedUtilitySet(utilities_of)
+    evaluator = market.evaluator
     last_moves: Optional[np.ndarray] = None
     anchor: Optional[np.ndarray] = None
     warm_started = False

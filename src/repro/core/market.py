@@ -10,7 +10,7 @@ strategies and in the budget-reassignment layer above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +43,12 @@ class MarketState:
 class Market:
     """A proportional-share market over a fixed player and resource set."""
 
-    def __init__(self, resources: ResourceSet, players: Sequence[Player]):
+    def __init__(
+        self,
+        resources: ResourceSet,
+        players: Sequence[Player],
+        evaluator: Optional[BatchedUtilitySet] = None,
+    ):
         if not players:
             raise MarketConfigurationError("a market needs at least one player")
         for player in players:
@@ -54,6 +59,7 @@ class Market:
                 )
         self.resources = resources
         self.players: List[Player] = list(players)
+        self._evaluator = evaluator
 
     @property
     def num_players(self) -> int:
@@ -100,10 +106,21 @@ class Market:
         others = self.others_bids(bids, player_index)
         return bid_to_allocation(bids[player_index], others, self.capacities)
 
+    @property
+    def evaluator(self) -> BatchedUtilitySet:
+        """The batched evaluator over the players' utilities, in player order.
+
+        The one the market was built with (an
+        :class:`~repro.core.mechanisms.AllocationProblem` hands every
+        market it builds its own), else compiled on first use.
+        """
+        if self._evaluator is None:
+            self._evaluator = BatchedUtilitySet([p.utility for p in self.players])
+        return self._evaluator
+
     def utilities(self, allocations: np.ndarray) -> np.ndarray:
         """Vector of player utilities for an allocation matrix."""
-        evaluator = BatchedUtilitySet([p.utility for p in self.players])
-        return evaluator.values(allocations)
+        return self.evaluator.values(allocations)
 
     def equal_split_bids(self) -> np.ndarray:
         """Every player splits its whole budget evenly across resources.

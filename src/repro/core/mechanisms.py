@@ -73,7 +73,12 @@ class AllocationProblem:
     ``cold_equilibria`` memoises the cold equilibrium searches made on
     this problem (:class:`~repro.core.equilibrium.ColdEquilibria`): the
     mechanisms that start from equal budgets share one search, and the
-    memo goes away with the problem.
+    memo goes away with the problem.  ``evaluator`` is the problem's one
+    compiled :class:`~repro.utility.batch.BatchedUtilitySet` over
+    ``utilities``: every market :meth:`build_market` makes, every
+    equilibrium search on those markets and every score of a result
+    evaluate through it.  Like the memo it lives and dies with the
+    problem; ``dataclasses.replace`` compiles a fresh one.
     """
 
     utilities: List[UtilityFunction]
@@ -85,6 +90,7 @@ class AllocationProblem:
     cold_equilibria: ColdEquilibria = field(
         default_factory=ColdEquilibria, init=False, repr=False, compare=False
     )
+    evaluator: BatchedUtilitySet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.capacities = np.asarray(self.capacities, dtype=float)
@@ -119,6 +125,7 @@ class AllocationProblem:
                     "per_player_caps must be finite and non-negative"
                 )
             self.per_player_caps = caps
+        self.evaluator = BatchedUtilitySet(self.utilities)
 
     @property
     def num_players(self) -> int:
@@ -139,7 +146,7 @@ class AllocationProblem:
             Player(name, utility, budget)
             for name, utility, budget in zip(self.player_names, self.utilities, budgets)
         ]
-        return Market(resources, players)
+        return Market(resources, players, evaluator=self.evaluator)
 
 
 @dataclass
@@ -277,13 +284,15 @@ class AllocationMechanism(abc.ABC):
             )
         if _sanitize.ACTIVE:
             _sanitize.check_allocation(allocations, problem.capacities)
-        utilities = BatchedUtilitySet(problem.utilities).values(allocations)
+        utilities = problem.evaluator.values(allocations)
         return MechanismResult(
             mechanism=self.name,
             allocations=allocations,
             utilities=utilities,
             efficiency=efficiency_metric(utilities),
-            envy_freeness=envy_freeness(problem.utilities, allocations),
+            envy_freeness=envy_freeness(
+                problem.utilities, allocations, problem.evaluator
+            ),
             **extra,
         )
 
@@ -377,7 +386,7 @@ class BalancedBudget(EqualBudget):
             best = np.tile(problem.capacities, (n, 1))
         # Every player's utility at its best bundle and at nothing, in
         # one call: rows 0..N-1 then N..2N-1.
-        scores = BatchedUtilitySet(problem.utilities).values(
+        scores = problem.evaluator.values(
             np.vstack([best, np.zeros_like(best)]), np.tile(np.arange(n), 2)
         )
         u_max, u_min = scores[:n], scores[n:]

@@ -9,12 +9,13 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..qa import sanitize as _sanitize
 from ..utility.base import UtilityFunction
+from ..utility.batch import BatchedUtilitySet
 
 __all__ = [
     "efficiency",
@@ -36,23 +37,29 @@ def efficiency(utilities: Sequence[float]) -> float:
 
 
 def envy_matrix(
-    utilities: Sequence[UtilityFunction], allocations: np.ndarray
+    utilities: Sequence[UtilityFunction],
+    allocations: np.ndarray,
+    evaluator: Optional[BatchedUtilitySet] = None,
 ) -> np.ndarray:
     """``E[i, j] = U_i(r_j)``: what player i's utility would be with j's bundle.
 
-    Row ``i`` is one ``utilities[i].value_batch`` call over every bundle,
-    which equals ``value`` point by point.
+    One :meth:`~repro.utility.batch.BatchedUtilitySet.values` call over
+    the N² (player, bundle) rows, through ``evaluator`` — a compiled set
+    over ``utilities``, such as the problem's own — or one compiled
+    here.  Each entry equals ``utilities[i].value(allocations[j])``.
     """
     allocations = np.asarray(allocations, dtype=float)
     n = allocations.shape[0]
-    matrix = np.empty((n, n))
-    for i, utility in enumerate(utilities):
-        matrix[i] = utility.value_batch(allocations)
-    return matrix
+    if evaluator is None:
+        evaluator = BatchedUtilitySet(utilities)
+    owners = np.repeat(np.arange(n), n)
+    return evaluator.values(np.tile(allocations, (n, 1)), owners).reshape(n, n)
 
 
 def envy_freeness(
-    utilities: Sequence[UtilityFunction], allocations: np.ndarray
+    utilities: Sequence[UtilityFunction],
+    allocations: np.ndarray,
+    evaluator: Optional[BatchedUtilitySet] = None,
 ) -> float:
     """Envy-freeness of an allocation (Definition 3).
 
@@ -64,8 +71,9 @@ def envy_freeness(
     valued at zero impose no constraint (nobody envies a worthless
     bundle).  A NaN valuation is not worthless: it reaches the minimum
     and makes EF NaN, so a broken allocation never scores as fair.
+    ``evaluator`` is passed on to :func:`envy_matrix`.
     """
-    matrix = envy_matrix(utilities, allocations)
+    matrix = envy_matrix(utilities, allocations, evaluator)
     own = np.diag(matrix)
     # Off-diagonal pairs constrain unless the other bundle is worth <= 0
     # (NaN is not <= 0); a NaN own utility poisons its i == j pair.

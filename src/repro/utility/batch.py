@@ -100,11 +100,24 @@ class StackedGrids:
         self.xs = np.stack([g.xs for g in grids])          # (G, nx)
         self.ys = np.stack([g.ys for g in grids])          # (G, ny)
         self.values = np.stack([g.values for g in grids])  # (G, nx, ny)
-        #: Flat views: sample (g, i, j) of the value tensor sits at
-        #: (g * nx + i) * ny + j, axis sample (g, i) at g * nx + i.
+        nx, ny = self.xs.shape[1], self.ys.shape[1]
+        #: Flat view: sample (g, i, j) of the value tensor sits at
+        #: (g * nx + i) * ny + j.
         self._table = self.values.ravel()
-        self._x = self.xs.ravel()
-        self._y = self.ys.ravel()
+        #: Both axes of every grid in one NaN-padded ``(G, 2, L)`` table,
+        #: ``L = max(nx, ny)``, so the two coordinates share each clamp,
+        #: lookup and gather; axis sample (g, c, i) sits at flat index
+        #: (2 * g + c) * L + i.  A NaN pad never counts as ``<= x``.
+        length = max(nx, ny)
+        axes = np.full((len(grids), 2, length), np.nan)
+        axes[:, 0, :nx] = self.xs
+        axes[:, 1, :ny] = self.ys
+        self._axes = axes
+        self._flat_axes = axes.ravel()
+        #: Flat index of each grid's first x and y sample, ``(G, 2)``.
+        self._axis_start = np.arange(2 * len(grids)).reshape(-1, 2) * length
+        #: Highest cell index per coordinate (the last cell's low sample).
+        self._last_cell = np.array([nx - 2, ny - 2])
         #: Each grid's clamp box, ``[[x_lo, y_lo], [x_hi, y_hi]]``.
         self._box = np.stack(
             [
@@ -138,34 +151,32 @@ class StackedGrids:
         lies on grid ``owners[k]``.
 
         Mirrors :meth:`GridUtility2D.value_batch` (clamp, clamped-index
-        lookup, four-term bilinear blend) elementwise.  The cell index
-        uses a broadcast count ``sum(axis <= x)`` — exactly
+        lookup, four-term bilinear blend) elementwise, both coordinates
+        at once through the padded axis table.  The cell index uses a
+        broadcast count ``sum(axis <= x)`` — exactly
         ``searchsorted(axis, x, side="right")`` for a sorted axis — since
         numpy's searchsorted cannot look up a different axis per point.
         """
-        nx, ny = self.xs.shape[1], self.ys.shape[1]
         box = self._box[owners]                            # (K, 2, 2)
         clamped = np.minimum(np.maximum(points, box[:, 0]), box[:, 1])
-        xc, yc = clamped[..., 0], clamped[..., 1]
-        i = (self.xs[owners] <= xc[..., None]).sum(axis=-1) - 1
-        j = (self.ys[owners] <= yc[..., None]).sum(axis=-1) - 1
-        i = np.minimum(np.maximum(i, 0), nx - 2)
-        j = np.minimum(np.maximum(j, 0), ny - 2)
-        # Flat index of each point's low axis samples.
-        low_x = owners * nx + i
-        low_y = owners * ny + j
-        x0, y0 = self._x[low_x], self._y[low_y]
-        tx = (xc - x0) / (self._x[low_x + 1] - x0)
-        ty = (yc - y0) / (self._y[low_y + 1] - y0)
-        return _bilinear_blend(self._table, low_x * ny + j, ny, tx, ty)
+        cell = (self._axes[owners] <= clamped[..., None]).sum(axis=-1) - 1
+        cell = np.minimum(np.maximum(cell, 0), self._last_cell)
+        # Flat index of each coordinate's low axis sample.
+        low = self._axis_start[owners] + cell
+        lo = self._flat_axes[low]
+        t = (clamped - lo) / (self._flat_axes[low + 1] - lo)
+        ny = self.ys.shape[1]
+        flat = (owners * self.xs.shape[1] + cell[..., 0]) * ny + cell[..., 1]
+        return _bilinear_blend(self._table, flat, ny, t[..., 0], t[..., 1])
 
 
 class BatchedUtilitySet:
     """A compiled batched evaluator for a fixed utility list.
 
-    Build once per equilibrium search (the player list is fixed for the
-    search's lifetime), then call :meth:`marginals` every lockstep
-    iteration with whatever subset of players is still climbing, and
+    Build once per player list — an
+    :class:`~repro.core.mechanisms.AllocationProblem` holds one for all
+    its markets — then call :meth:`marginals` every lockstep iteration
+    with whatever subset of players is still climbing, and
     :meth:`values` to score the players.
     """
 

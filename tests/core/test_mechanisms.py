@@ -1,5 +1,7 @@
 """Allocation mechanisms behind the Figure 4/5 comparison."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.core import (
 from repro.exceptions import MarketConfigurationError
 from repro.utility import (
     EVAL_COUNTERS,
+    BatchedUtilitySet,
     CobbDouglasUtility,
     GridUtility2D,
     LogUtility,
@@ -244,6 +247,39 @@ class TestEvaluationPath:
         delta = EVAL_COUNTERS.since(before)
         assert delta["scalar_calls"] == 0
         assert delta["batch_calls"] > 0
+
+
+class TestProblemEvaluator:
+    """One compiled evaluator per problem, living and dying with it."""
+
+    def test_every_market_and_score_shares_the_problem_evaluator(
+        self, bbpc_problem, monkeypatch
+    ):
+        problem = dataclasses.replace(bbpc_problem)
+        assert problem.build_market(np.full(problem.num_players, 1.0)).evaluator is (
+            problem.evaluator
+        )
+        compiled = []
+        real = BatchedUtilitySet._compile
+        monkeypatch.setattr(
+            BatchedUtilitySet, "_compile",
+            lambda self: compiled.append(self) or real(self),
+        )
+        for mechanism in standard_mechanism_suite():
+            mechanism.allocate(problem)
+        assert compiled == []
+
+    def test_replace_compiles_a_fresh_evaluator(self, synthetic_problem):
+        replaced = dataclasses.replace(synthetic_problem)
+        assert replaced.evaluator is not synthetic_problem.evaluator
+        assert replaced.evaluator.utilities == synthetic_problem.utilities
+        other = dataclasses.replace(
+            synthetic_problem, utilities=synthetic_problem.utilities[::-1]
+        )
+        allocation = np.array([[1.0, 2.0]])
+        assert other.evaluator.values(allocation)[0] == (
+            synthetic_problem.utilities[-1].value(allocation[0])
+        )
 
 
 class TestMaxEfficiency:

@@ -16,7 +16,15 @@ from repro.core import (
 from repro.cmp import ChipModel, cmp_64core
 from repro.core.mechanisms import AllocationProblem
 from repro.exceptions import MarketConfigurationError
-from repro.utility import LinearUtility, UtilityFunction
+from repro.utility import (
+    EVAL_COUNTERS,
+    BatchedUtilitySet,
+    GridUtility2D,
+    LinearUtility,
+    LogUtility,
+    SaturatingUtility,
+    UtilityFunction,
+)
 from repro.workloads import generate_bundles
 
 
@@ -83,6 +91,39 @@ class TestEnvyMatrix:
             assert envy_freeness(problem_64.utilities, allocations) == (
                 _scalar_envy_freeness(want)
             )
+
+
+    def test_one_stacked_call_equals_the_per_row_oracle(self):
+        # Grids (one stacked group), a shared object, closed forms and a
+        # NaN bundle: the N^2-row call equals one value_batch per player.
+        grid = GridUtility2D(
+            [0.0, 1.0, 2.0, 4.0],
+            [0.0, 0.5, 2.0],
+            np.sqrt(np.arange(12.0).reshape(4, 3) + 1.0),
+        )
+        other_grid = GridUtility2D(
+            [0.0, 2.0, 3.0, 5.0], [0.0, 1.0, 3.0], np.arange(12.0).reshape(4, 3)
+        )
+        shared = LogUtility([1.0, 0.5], [2.0, 1.0])
+        utilities = [
+            grid, other_grid, shared, shared,
+            LinearUtility([1.0, 2.0]), SaturatingUtility([1.0, 2.0], [3.0, 1.5]),
+        ]
+        allocations = np.random.default_rng(2).uniform(0.0, 4.0, size=(6, 2))
+        allocations[3, 1] = np.nan
+        before = EVAL_COUNTERS.snapshot()
+        got = envy_matrix(utilities, allocations)
+        calls = EVAL_COUNTERS.since(before)["batch_value_calls"]
+        want = np.stack([u.value_batch(allocations) for u in utilities])
+        assert np.isnan(want[:, 3]).all()
+        assert np.array_equal(got, want, equal_nan=True)
+        # One dispatch per group: the grid stack, the shared log, and
+        # the linear and saturating players.
+        assert calls == 4
+        evaluator = BatchedUtilitySet(utilities)
+        assert np.array_equal(
+            envy_matrix(utilities, allocations, evaluator), want, equal_nan=True
+        )
 
 
 class TestEnvyFreeness:

@@ -26,8 +26,15 @@ from repro.core import (
     marginal_utility_of_bids,
     marginal_utility_of_bids_batch,
 )
+from repro.core import bidding
 from repro.core.bidding import LOCKSTEP_TOLERANCE
-from repro.utility import LinearUtility, LogUtility
+from repro.utility import (
+    CobbDouglasUtility,
+    LinearUtility,
+    LogUtility,
+    PowerUtility,
+    SaturatingUtility,
+)
 from repro.utility.batch import BatchedUtilitySet
 
 
@@ -234,10 +241,11 @@ class TestFindEquilibriumLockstep:
             market, bidder=VectorHillClimbBidder(), warm_start=cold.warm_start
         )
         assert warm.iterations == 1
-        # One batched staleness probe + one climb evaluation; the final
-        # lambda collection reuses the climb's marginals instead of
-        # paying a third batched dispatch.
-        assert warm.eval_counts["batch_gradient_calls"] == 2
+        # One batched evaluation at the seed serves both the staleness
+        # test and the first climb step; the final lambda collection
+        # reuses the climb's marginals instead of paying a second
+        # batched dispatch.
+        assert warm.eval_counts["batch_gradient_calls"] == 1
 
     def test_default_bidder_is_lockstep(self, bbpc_problem):
         market = self._market(bbpc_problem)
@@ -464,3 +472,230 @@ def test_gauss_seidel_ignores_marginals_of_an_earlier_jacobi_search(bbpc_problem
         gs_market, bidder=bidder, update="gauss-seidel", warm_start=seed.warm_start
     )
     assert np.array_equal(result.lambdas, lambda_oracle(gs_market, result.state.bids))
+
+
+def _scalar_warm_rule(current_bids, budget, num_resources):
+    """Oracle: the one-vector warm-start rule, written out."""
+    if current_bids is None:
+        return None
+    bids = np.asarray(current_bids, dtype=float)
+    if bids.shape != (num_resources,) or not np.all(np.isfinite(bids)):
+        return None
+    bids = np.maximum(bids, 0.0)
+    total = float(bids.sum())
+    if total <= 0.0:
+        return None
+    if abs(total - budget) > 1e-6 * max(budget, total):
+        return None
+    return bids * (budget / total)
+
+
+def _counted_scalar_climbs(utilities, budgets, others, capacities, current_bids, step_hints):
+    """N scalar climbs plus what a merged lockstep round must reproduce.
+
+    Returns the bids, the fresh marginals (zeros where stale), the fresh
+    flags, the number of lockstep steps and the staleness verdicts.  A
+    hinted row's staleness probe evaluates the same bids as its first
+    climb step, so in lockstep the row needs ``max(climb evaluations,
+    probe)`` steps, and the round needs the most any row needs.
+    """
+    bidder = HillClimbBidder()
+    num_players, num_resources = len(utilities), capacities.size
+    bids = np.zeros((num_players, num_resources))
+    marginals = np.zeros((num_players, num_resources))
+    fresh = np.zeros(num_players, dtype=bool)
+    evaluations = []
+    verdicts = []
+    real_marginals = bidding.marginal_utility_of_bids
+    real_stale = HillClimbBidder._stale
+
+    def counted(*args):
+        evaluations.append(1)
+        return real_marginals(*args)
+
+    def probed(self, *args):
+        verdicts.append(real_stale(self, *args))
+        return verdicts[-1]
+
+    steps = 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bidding, "marginal_utility_of_bids", counted)
+        patch.setattr(HillClimbBidder, "_stale", probed)
+        for i, utility in enumerate(utilities):
+            evaluated, probes = len(evaluations), len(verdicts)
+            bids[i] = bidder.optimize(
+                utility,
+                float(budgets[i]),
+                others[i],
+                capacities,
+                current_bids=None if current_bids is None else current_bids[i],
+                step_hint=None if step_hints is None else float(step_hints[i]),
+            )
+            probe = len(verdicts) - probes
+            climb = len(evaluations) - evaluated - probe
+            steps = max(steps, climb, probe)
+            if bidder.last_marginals is not None:
+                marginals[i] = bidder.last_marginals
+                fresh[i] = True
+    return bids, marginals, fresh, steps, verdicts
+
+
+def _merged_round(utilities, budgets, others, capacities, current_bids, step_hints):
+    """One lockstep round, counting its ``marginals`` calls."""
+    evaluator = BatchedUtilitySet(utilities)
+    real = evaluator.marginals
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    evaluator.marginals = counted
+    bidder = VectorHillClimbBidder()
+    bids = bidder.optimize_all(
+        utilities, budgets, others, capacities,
+        current_bids=current_bids, step_hints=step_hints, evaluator=evaluator,
+    )
+    return bidder, bids, len(calls)
+
+
+class TestMergedFirstStep:
+    """One ``marginals`` call at the round's starting bids is both the
+    hinted rows' staleness test and the first lockstep step; bids,
+    marginals and fresh flags equal N scalar climbs bitwise."""
+
+    def _assert_matches_scalar(self, utilities, budgets, others, capacities,
+                               current_bids=None, step_hints=None):
+        bids, marginals, fresh, steps, verdicts = _counted_scalar_climbs(
+            utilities, budgets, others, capacities, current_bids, step_hints
+        )
+        bidder, got, calls = _merged_round(
+            utilities, budgets, others, capacities, current_bids, step_hints
+        )
+        assert np.array_equal(got, bids)
+        assert np.array_equal(bidder.last_marginals_all, marginals)
+        assert np.array_equal(bidder.last_fresh, fresh)
+        assert calls == steps
+        return verdicts
+
+    @staticmethod
+    def _seeds(utilities, budgets, others, capacities):
+        """Balanced (fresh) seeds with every kind of unusable row mixed in.
+
+        A 1%-step climb can stop out of balance; a few warm re-climbs
+        from its own result settle every row within tolerance.
+        """
+        seeds = scalar_reference(utilities, budgets, others, capacities)
+        for _ in range(6):
+            seeds = scalar_reference(
+                utilities, budgets, others, capacities, current_bids=seeds
+            )
+        seeds[1] = seeds[1][::-1]           # reversed split: stale
+        seeds[2, 0] = np.nan                # non-finite
+        seeds[3] = 0.0                      # all-zero
+        seeds[4] = -seeds[4]                # negative
+        seeds[5] *= 1.5                     # budget mismatch
+        seeds[6, 1] += seeds[6, 0]          # negative dust, clipped away:
+        seeds[6, 0] = -1e-9                 # still usable
+        return seeds
+
+    def test_hinted_unhinted_stale_fresh_and_unusable_rows(self, mixed_setup):
+        utilities, budgets, others, capacities = mixed_setup
+        seeds = self._seeds(utilities, budgets, others, capacities)
+        hints = np.random.default_rng(5).uniform(0.5, 5.0, size=budgets.size)
+        verdicts = self._assert_matches_scalar(
+            utilities, budgets, others, capacities, seeds, hints
+        )
+        assert True in verdicts and False in verdicts
+
+    def test_warm_rows_without_hints(self, mixed_setup):
+        utilities, budgets, others, capacities = mixed_setup
+        seeds = self._seeds(utilities, budgets, others, capacities)
+        verdicts = self._assert_matches_scalar(
+            utilities, budgets, others, capacities, seeds
+        )
+        assert verdicts == []
+
+    def test_non_positive_budgets(self, mixed_setup):
+        utilities, budgets, others, capacities = mixed_setup
+        seeds = self._seeds(utilities, budgets, others, capacities)
+        budgets = budgets.copy()
+        budgets[0] = 0.0
+        budgets[7] = -3.0
+        hints = np.full(budgets.size, 2.0)
+        self._assert_matches_scalar(
+            utilities, budgets, others, capacities, seeds, hints
+        )
+        for budgets in (np.zeros(budgets.size), np.full(budgets.size, -1.0)):
+            bidder, bids, calls = _merged_round(
+                utilities, budgets, others, capacities, seeds, hints
+            )
+            assert calls == 0 and not np.any(bids) and not bidder.last_fresh.any()
+
+    def test_single_resource(self):
+        utilities = [LogUtility([1.0]), LogUtility([2.0]), LogUtility([0.5])]
+        budgets = np.array([10.0, 0.0, -3.0])
+        others = np.full((3, 1), 5.0)
+        capacities = np.array([4.0])
+        self._assert_matches_scalar(
+            utilities, budgets, others, capacities,
+            np.array([[10.0], [1.0], [np.nan]]), np.ones(3),
+        )
+
+    def test_non_grid_utilities_with_three_resources(self):
+        shared = LogUtility([1.0, 0.5, 2.0], [2.0, 1.0, 0.5])
+        utilities = [
+            shared,
+            shared,
+            LinearUtility([0.2, 1.0, 0.5]),
+            PowerUtility([1.0, 2.0, 0.5], [0.5, 0.3, 0.7]),
+            CobbDouglasUtility([0.3, 0.3, 0.3]),
+            SaturatingUtility([1.0, 2.0, 0.5], [3.0, 1.5, 2.0]),
+            LogUtility([0.1, 3.0, 1.0]),
+            LogUtility([2.0, 0.1, 1.0]),
+        ]
+        capacities = np.array([6.0, 4.0, 5.0])
+        rng = np.random.default_rng(11)
+        budgets = rng.uniform(20.0, 150.0, size=len(utilities))
+        others = rng.uniform(0.0, 80.0, size=(len(utilities), 3))
+        seeds = self._seeds(utilities, budgets, others, capacities)
+        hints = rng.uniform(0.5, 5.0, size=budgets.size)
+        verdicts = self._assert_matches_scalar(
+            utilities, budgets, others, capacities, seeds, hints
+        )
+        assert True in verdicts and False in verdicts
+        self._assert_matches_scalar(utilities, budgets, others, capacities)
+
+
+class TestWarmStartBidsRowWise:
+    def test_matches_the_written_out_scalar_rule(self):
+        budgets = np.array([10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 0.0, -2.0, 6.0])
+        rows = np.array([
+            [4.0, 6.0],               # usable
+            [4.0, 6.0 + 1e-9],        # within tolerance: rescaled
+            [np.nan, 10.0],           # non-finite
+            [np.inf, 1.0],            # non-finite
+            [0.0, 0.0],               # all-zero
+            [-1.0, -9.0],             # negative: nothing left
+            [-1e-9, 10.0],            # negative dust clipped
+            [1.0, 1.0],               # zero budget
+            [1.0, 1.0],               # negative budget
+            [3.0, 5.0],               # budget mismatch
+        ])
+        bids, warm = BiddingStrategy.warm_start_bids(rows, budgets, 2)
+        for k, budget in enumerate(budgets):
+            expected = _scalar_warm_rule(rows[k], float(budget), 2)
+            if expected is None:
+                assert not warm[k]
+                assert np.array_equal(bids[k], np.full(2, budget / 2))
+            else:
+                assert warm[k]
+                assert np.array_equal(bids[k], expected)
+        assert list(warm) == [True, True] + [False] * 4 + [True] + [False] * 3
+
+    @pytest.mark.parametrize("current", [None, np.ones((3, 2)), np.ones(2)])
+    def test_absent_or_misshapen_falls_back_to_equal_split(self, current):
+        budgets = np.array([4.0, 2.0])
+        bids, warm = BiddingStrategy.warm_start_bids(current, budgets, 2)
+        assert not warm.any()
+        assert np.array_equal(bids, [[2.0, 2.0], [1.0, 1.0]])

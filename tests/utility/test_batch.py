@@ -303,6 +303,33 @@ class TestStackedGrids:
             assert np.array_equal(gradients[k], grid.gradient(points[k]))
 
 
+    @pytest.mark.parametrize("nx, ny", [(5, 9), (9, 3)])
+    def test_padded_axes_match_value_batch_bitwise(self, nx, ny):
+        # The shorter axis is NaN-padded in the shared (G, 2, L) table;
+        # points outside the box clamp and NaN points stay NaN, exactly
+        # as each grid's own kernels do.
+        grids = [make_grid(seed, nx=nx, ny=ny) for seed in range(3)]
+        stack = StackedGrids(grids)
+        rng = np.random.default_rng(nx * ny)
+        points = np.vstack([
+            rng.uniform(-1.0, 7.0, size=(30, 2)),
+            [[-5.0, 1.0], [1.0, -5.0], [50.0, 50.0], [-1.0, 99.0]],
+            [[np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan], [np.nan, -3.0]],
+        ])
+        owners = np.arange(points.shape[0]) % 3
+        values = stack.value_points(points, owners)
+        gradients = stack.gradient_points(points, owners)
+        assert np.isnan(values[-4:]).all()
+        for g, grid in enumerate(grids):
+            mine = owners == g
+            assert np.array_equal(
+                values[mine], grid.value_batch(points[mine]), equal_nan=True
+            )
+            assert np.array_equal(
+                gradients[mine], grid.gradient_batch(points[mine]), equal_nan=True
+            )
+
+
 class TestBatchedUtilitySet:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
